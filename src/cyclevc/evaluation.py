@@ -17,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, PairingError, ShapeError
-from .features import MCEP_DIM
+from .features import MAX_FRAME_MISMATCH, MCEP_DIM
 
 MCD_COEF = 10.0 * np.sqrt(2.0) / np.log(10.0)
-MAX_FRAME_MISMATCH = 2
 
 PLANE_LABELS = ("natural", "synthetic", "pseudo", "enhanced")
 

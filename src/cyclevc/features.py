@@ -34,6 +34,10 @@ _HEADER = struct.Struct("<4sIIIII")
 
 STD_FLOOR = 1e-6
 
+# largest frame-count difference between two renderings of one utterance
+# that pairing (training) and scoring (MCD) absorb by trimming the tail
+MAX_FRAME_MISMATCH = 2
+
 
 @dataclass
 class UtteranceFeatures:
@@ -158,8 +162,10 @@ class NormStats:
             raise ShapeError(f"norm stats must be ({N_DIMS},) vectors")
         if self.domain_tag not in ("source", "target"):
             raise InputError(f"unknown domain_tag {self.domain_tag!r}")
-        if np.any(self.std <= 0):
-            raise InputError("norm std must be positive (flooring missed?)")
+        if not np.all(np.isfinite(self.mean)):
+            raise InputError("norm mean must be finite")
+        if not np.all((self.std > 0) & np.isfinite(self.std)):
+            raise InputError("norm std must be positive and finite (flooring missed?)")
 
 
 def compute_norm_stats(feats, domain_tag):

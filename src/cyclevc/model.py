@@ -23,6 +23,7 @@ GRU input.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import ConfigError, FormatError, InputError, PairingError, ShapeError
 from .features import MCEP_DIM, N_DIMS, NormStats
@@ -142,27 +143,25 @@ def _unfold_rows(pad, n, k):
     return np.concatenate([pad[i : i + n] for i in range(k)], axis=1)
 
 
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def _net_forward(model, net, x, want_cache=False, teacher=None):
     """Run one converter over a normalized sequence.
 
     `teacher`, when given, replaces the autoregressive feedback with the
     provided target frames (teacher forcing); frame t consumes teacher[t-1].
+
+    Everything that does not depend on the previous frame (the input convs
+    and their GRU projection) is computed for all frames up front; the
+    per-frame loop holds only the recurrent matrix-vector products and
+    in-place elementwise ops on preallocated rows. Each history the output
+    convs read (hidden states, conv outputs) is one flat buffer with k zero
+    frames in front, so frame t is stored at row t + k and its causal window
+    of width k is the contiguous slice of rows t + 1 .. t + k.
     """
     arch = model.arch
     params = model.params
     dtype = model.dtype
     k = arch.kernel
     h_dim = arch.gru_hidden
-    out_dim = arch.out_dim
     n = x.shape[0]
 
     a = np.ascontiguousarray(x, dtype=dtype)
@@ -179,72 +178,74 @@ def _net_forward(model, net, x, want_cache=False, teacher=None):
 
     wg = params[f"{net}.gru.Wg"]
     ug = params[f"{net}.gru.Ug"]
-    wg_x = wg[:, : arch.conv_channels]
-    wg_y = wg[:, arch.conv_channels :]
-    gi_x = a @ wg_x.T + params[f"{net}.gru.bW"]
+    wg_y = np.ascontiguousarray(wg[:, arch.conv_channels :])
+    gi_x = a @ wg[:, : arch.conv_channels].T + params[f"{net}.gru.bW"]
     bu = params[f"{net}.gru.bU"]
 
     out_w = [params[f"{net}.out{layer}.W"] for layer in range(arch.out_conv_layers)]
     out_b = [params[f"{net}.out{layer}.b"] for layer in range(arch.out_conv_layers)]
-    out_dims = [wm.shape[0] for wm in out_w]
-
-    h_pad = np.zeros((n + k - 1, h_dim), dtype=dtype)
-    h_prev_rows = np.zeros((n, h_dim), dtype=dtype)
-    ar_rows = np.zeros((n, out_dim), dtype=dtype)
-    gates_z = np.zeros((n, h_dim), dtype=dtype)
-    gates_r = np.zeros((n, h_dim), dtype=dtype)
-    gates_n = np.zeros((n, h_dim), dtype=dtype)
-    gh_n_rows = np.zeros((n, h_dim), dtype=dtype)
-    out_pre = [np.zeros((n, d), dtype=dtype) for d in out_dims]
-    out_pads = [np.zeros((n + k - 1, d), dtype=dtype) for d in out_dims]
-
-    h_prev = np.zeros(h_dim, dtype=dtype)
-    y_prev = np.zeros(out_dim, dtype=dtype)
     last = arch.out_conv_layers - 1
+
+    # flat histories: the hidden states, then each output conv layer
+    dims = [h_dim] + [w.shape[0] for w in out_w]
+    flats = [np.zeros((n + k) * d, dtype=dtype) for d in dims]
+    rows = [flat.reshape(n + k, d) for flat, d in zip(flats, dims)]
+    h_rows = rows[0]
+    y_rows = rows[-1]
+
+    # feedback into frame t: zeros at t = 0, then the previous output frame
+    if teacher is None:
+        ar_rows = y_rows[k - 1 : k - 1 + n]
+    else:
+        ar_rows = np.zeros((n, arch.out_dim), dtype=dtype)
+        ar_rows[1:] = teacher[: n - 1]
+
+    gh_rows = np.empty((n, 3 * h_dim), dtype=dtype)
+    zr_rows = np.empty((n, 2 * h_dim), dtype=dtype)
+    nc_rows = np.empty((n, h_dim), dtype=dtype)
+    gh_zr, gh_n = gh_rows[:, : 2 * h_dim], gh_rows[:, 2 * h_dim :]
+    z_rows, r_rows = zr_rows[:, :h_dim], zr_rows[:, h_dim:]
+    gi = np.empty(3 * h_dim, dtype=dtype)
+    gi_zr, gi_n = gi[: 2 * h_dim], gi[2 * h_dim :]
+
     for t in range(n):
-        if t > 0:
-            ar = teacher[t - 1] if teacher is not None else y_prev
-        else:
-            ar = np.zeros(out_dim, dtype=dtype)
-        ar_rows[t] = ar
-        h_prev_rows[t] = h_prev
-        gi = gi_x[t] + wg_y @ ar
-        gh = ug @ h_prev + bu
-        z = _sigmoid(gi[:h_dim] + gh[:h_dim])
-        r = _sigmoid(gi[h_dim : 2 * h_dim] + gh[h_dim : 2 * h_dim])
-        nc = np.tanh(gi[2 * h_dim :] + r * gh[2 * h_dim :])
-        h = (1.0 - z) * nc + z * h_prev
-        gates_z[t], gates_r[t], gates_n[t] = z, r, nc
-        gh_n_rows[t] = gh[2 * h_dim :]
-        h_pad[t + k - 1] = h
+        h_prev = h_rows[t + k - 1]
+        np.dot(wg_y, ar_rows[t], out=gi)
+        gi += gi_x[t]
+        gh = gh_rows[t]
+        np.dot(ug, h_prev, out=gh)
+        gh += bu
+        zr = zr_rows[t]
+        np.add(gi_zr, gh_zr[t], out=zr)
+        expit(zr, out=zr)
+        nc = nc_rows[t]
+        np.multiply(r_rows[t], gh_n[t], out=nc)
+        nc += gi_n
+        np.tanh(nc, out=nc)
+        h = h_rows[t + k]
+        np.subtract(h_prev, nc, out=h)
+        h *= z_rows[t]
+        h += nc
 
-        cur_pad = h_pad
         for layer in range(arch.out_conv_layers):
-            window = cur_pad[t : t + k].reshape(-1)
-            pre = out_w[layer] @ window + out_b[layer]
-            out_pre[layer][t] = pre
-            val = pre if layer == last else np.maximum(pre, 0.0)
-            out_pads[layer][t + k - 1] = val
-            cur_pad = out_pads[layer]
-        y_prev = out_pads[last][t + k - 1]
-        h_prev = h
+            d_in = dims[layer]
+            val = rows[layer + 1][t + k]
+            np.dot(out_w[layer], flats[layer][(t + 1) * d_in : (t + k + 1) * d_in], out=val)
+            val += out_b[layer]
+            if layer != last:
+                np.maximum(val, 0.0, out=val)
 
-    y = out_pads[last][k - 1 :].copy() if k > 1 else out_pads[last].copy()
+    y = y_rows[k:].copy()
     if not want_cache:
         return y, None
     cache = {
-        "x": np.ascontiguousarray(x, dtype=dtype),
         "in": in_cache,
         "a_top": a,
         "ar": ar_rows,
-        "h_prev": h_prev_rows,
-        "h_pad": h_pad,
-        "z": gates_z,
-        "r": gates_r,
-        "nc": gates_n,
-        "gh_n": gh_n_rows,
-        "out_pre": out_pre,
-        "out_pads": out_pads,
+        "rows": rows,
+        "zr": zr_rows,
+        "nc": nc_rows,
+        "gh_n": gh_n,
         "teacher": teacher is not None,
     }
     return y, cache
@@ -258,6 +259,11 @@ def _net_backward(model, net, cache, d_y):
     sequence). Autoregressive feedback is handled by adding each frame's
     GRU-input gradient onto the previous frame's output gradient, skipped
     under teacher forcing where the feedback came from constants.
+
+    The ReLU masks and the gate-derivative factors are computed for all
+    frames before the reverse loop, so each frame costs its transposed
+    matrix-vector products and a few in-place multiplies. Gradients that
+    land on the zero frames in front of a history are discarded.
     """
     arch = model.arch
     params = model.params
@@ -268,75 +274,77 @@ def _net_backward(model, net, cache, d_y):
     last = arch.out_conv_layers - 1
 
     wg = params[f"{net}.gru.Wg"]
-    ug = params[f"{net}.gru.Ug"]
-    wg_x = wg[:, : arch.conv_channels]
-    wg_y = wg[:, arch.conv_channels :]
-    out_w = [params[f"{net}.out{layer}.W"] for layer in range(arch.out_conv_layers)]
+    ug_t = np.ascontiguousarray(params[f"{net}.gru.Ug"].T)
+    wg_y_t = np.ascontiguousarray(wg[:, arch.conv_channels :].T)
+    out_w_t = [
+        np.ascontiguousarray(params[f"{net}.out{layer}.W"].T)
+        for layer in range(arch.out_conv_layers)
+    ]
 
-    d_y = np.array(d_y, dtype=dtype)
-    out_pads = cache["out_pads"]
-    out_pre = cache["out_pre"]
-    h_pad = cache["h_pad"]
-    d_out_pads = [np.zeros_like(p) for p in out_pads]
-    d_h_pad = np.zeros_like(h_pad)
-    d_pre = [np.zeros_like(p) for p in out_pre]
-    d_gi = np.zeros((n, 3 * h_dim), dtype=dtype)
-    d_gh = np.zeros((n, 3 * h_dim), dtype=dtype)
+    rows = cache["rows"]
+    dims = [r.shape[1] for r in rows]
+    d_flats = [np.zeros((n + k) * d, dtype=dtype) for d in dims]
+    d_rows = [flat.reshape(n + k, d) for flat, d in zip(d_flats, dims)]
+    d_rows[-1][k:] = d_y
+    masks = [(hist[k:] > 0).astype(dtype) for hist in rows[1:-1]]
 
-    z, r, nc = cache["z"], cache["r"], cache["nc"]
-    gh_n = cache["gh_n"]
-    h_prev_rows = cache["h_prev"]
+    # dh -> d(gate pre-activations); d_gi and d_gh differ only in the n block,
+    # where d_gh carries the extra factor r
+    z, r, nc = cache["zr"][:, :h_dim], cache["zr"][:, h_dim:], cache["nc"]
+    h_prev_rows = rows[0][k - 1 : k - 1 + n]
+    f_z = (h_prev_rows - nc) * z * (1.0 - z)
+    f_n = (1.0 - z) * (1.0 - nc * nc)
+    f_r = f_n * cache["gh_n"] * r * (1.0 - r)
+    f_gi = np.concatenate([f_z, f_r, f_n], axis=1).reshape(n, 3, h_dim)
+    f_gh = np.concatenate([f_z, f_r, f_n * r], axis=1).reshape(n, 3, h_dim)
+    d_gi = np.empty((n, 3, h_dim), dtype=dtype)
+    d_gh = np.empty((n, 3, h_dim), dtype=dtype)
+    d_gi_flat = d_gi.reshape(n, 3 * h_dim)
+    d_gh_flat = d_gh.reshape(n, 3 * h_dim)
+
+    windows = [np.empty(k * d, dtype=dtype) for d in dims[:-1]]
+    d_h_rec = np.empty(h_dim, dtype=dtype)
+    d_h_skip = np.empty(h_dim, dtype=dtype)
+    d_fb = np.empty(arch.out_dim, dtype=dtype)
+    d_h_rows = d_rows[0]
+    d_y_rows = d_rows[-1]
     free_running = not cache["teacher"]
 
     for t in range(n - 1, -1, -1):
-        d_out_pads[last][t + k - 1] += d_y[t]
         for layer in range(last, -1, -1):
-            d_val = d_out_pads[layer][t + k - 1]
-            if layer == last:
-                dp = d_val
-            else:
-                dp = d_val * (out_pre[layer][t] > 0)
-            d_pre[layer][t] = dp
-            d_window = (out_w[layer].T @ dp).reshape(k, -1)
-            if layer == 0:
-                d_h_pad[t : t + k] += d_window
-            else:
-                d_out_pads[layer - 1][t : t + k] += d_window
+            dp = d_rows[layer + 1][t + k]
+            if layer != last:
+                dp *= masks[layer][t]
+            d_in = dims[layer]
+            np.dot(out_w_t[layer], dp, out=windows[layer])
+            d_flats[layer][(t + 1) * d_in : (t + k + 1) * d_in] += windows[layer]
 
-        dh = d_h_pad[t + k - 1]
-        zt, rt, nt = z[t], r[t], nc[t]
-        dz = dh * (h_prev_rows[t] - nt)
-        dnc = dh * (1.0 - zt)
-        dan = dnc * (1.0 - nt * nt)
-        dr = dan * gh_n[t]
-        daz = dz * zt * (1.0 - zt)
-        dar = dr * rt * (1.0 - rt)
-        d_gi[t, :h_dim] = daz
-        d_gi[t, h_dim : 2 * h_dim] = dar
-        d_gi[t, 2 * h_dim :] = dan
-        d_gh[t, :h_dim] = daz
-        d_gh[t, h_dim : 2 * h_dim] = dar
-        d_gh[t, 2 * h_dim :] = dan * rt
-        if t > 0:
-            d_h_pad[t + k - 2] += dh * zt + ug.T @ d_gh[t]
-            if free_running:
-                d_y[t - 1] += wg_y.T @ d_gi[t]
+        dh = d_h_rows[t + k]
+        np.multiply(f_gh[t], dh, out=d_gh[t])
+        np.multiply(f_gi[t], dh, out=d_gi[t])
+        np.dot(ug_t, d_gh_flat[t], out=d_h_rec)
+        np.multiply(dh, z[t], out=d_h_skip)
+        d_h_prev = d_h_rows[t + k - 1]
+        d_h_prev += d_h_skip
+        d_h_prev += d_h_rec
+        if free_running:
+            np.dot(wg_y_t, d_gi_flat[t], out=d_fb)
+            d_y_rows[t + k - 1] += d_fb
 
     grads = {}
-    cur_pad = h_pad
     for layer in range(arch.out_conv_layers):
-        u = _unfold_rows(cur_pad, n, k)
-        grads[f"{net}.out{layer}.W"] = d_pre[layer].T @ u
-        grads[f"{net}.out{layer}.b"] = d_pre[layer].sum(axis=0)
-        cur_pad = out_pads[layer]
+        u = _unfold_rows(rows[layer][1:], n, k)
+        d_pre = d_rows[layer + 1][k:]
+        grads[f"{net}.out{layer}.W"] = d_pre.T @ u
+        grads[f"{net}.out{layer}.b"] = d_pre.sum(axis=0)
 
     u_gru = np.concatenate([cache["a_top"], cache["ar"]], axis=1)
-    grads[f"{net}.gru.Wg"] = d_gi.T @ u_gru
-    grads[f"{net}.gru.bW"] = d_gi.sum(axis=0)
-    grads[f"{net}.gru.Ug"] = d_gh.T @ h_prev_rows
-    grads[f"{net}.gru.bU"] = d_gh.sum(axis=0)
+    grads[f"{net}.gru.Wg"] = d_gi_flat.T @ u_gru
+    grads[f"{net}.gru.bW"] = d_gi_flat.sum(axis=0)
+    grads[f"{net}.gru.Ug"] = d_gh_flat.T @ h_prev_rows
+    grads[f"{net}.gru.bU"] = d_gh_flat.sum(axis=0)
 
-    d_a = d_gi @ wg_x
+    d_a = d_gi_flat @ wg[:, : arch.conv_channels]
     for layer in range(arch.in_conv_layers - 1, -1, -1):
         u, zpre = cache["in"][layer]
         d_z = d_a * (zpre > 0)
@@ -485,6 +493,8 @@ def _parse_vector(text, what):
         raise FormatError(f"checkpoint header: bad float in {what}") from exc
     if vec.size != N_DIMS:
         raise FormatError(f"checkpoint header: {what} has {vec.size} values, expected {N_DIMS}")
+    if not np.all(np.isfinite(vec)):
+        raise FormatError(f"checkpoint header: {what} has non-finite values")
     return vec
 
 
@@ -551,12 +561,19 @@ def load_checkpoint(path):
             f"parameter blob has {len(blob)} bytes, expected {4 * expected} "
             f"({expected} float32 values for the declared architecture)"
         )
-    if "param_count" in fields and int(fields["param_count"]) != expected:
-        raise FormatError(
-            f"checkpoint declares {fields['param_count']} parameters, "
-            f"architecture requires {expected}"
-        )
+    if "param_count" in fields:
+        try:
+            declared = int(fields["param_count"])
+        except ValueError:
+            declared = None
+        if declared != expected:
+            raise FormatError(
+                f"checkpoint declares {fields['param_count']} parameters, "
+                f"architecture requires {expected}"
+            )
     flat = np.frombuffer(blob, dtype="<f4")
+    if not np.all(np.isfinite(flat)):
+        raise FormatError("checkpoint parameter blob has non-finite values")
     params = {}
     offset = 0
     for name, shape in shapes.items():

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError, PairingError, TrainingError
 from .features import (
+    MAX_FRAME_MISMATCH,
     UtteranceFeatures,
     compute_norm_stats,
     normalize,
@@ -30,8 +31,6 @@ from .model import (
     loss_gradients,
     save_checkpoint,
 )
-
-MAX_FRAME_MISMATCH = 2
 
 LR_DEFAULT = 1e-4
 EPOCHS_DEFAULT = 15

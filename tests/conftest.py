@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cyclevc.features import N_DIMS, NormStats, UtteranceFeatures
-from cyclevc.model import CycleVCModel, ModelArch
+from cyclevc.model import CycleVCModel, ModelArch, save_checkpoint
 
 
 def make_features(utt_id, n_frames, rng=None, voiced=True):
@@ -50,6 +50,14 @@ def make_model(arch=None, seed=0, dtype=np.float32):
     return CycleVCModel.init(
         arch or tiny_arch(), norm_src, norm_tgt, seed=seed, dtype=dtype
     )
+
+
+def write_non_finite_checkpoint(path):
+    """A well-formed tiny checkpoint whose first parameter is NaN."""
+    save_checkpoint(make_model(seed=1), path)
+    raw = path.read_bytes()
+    blob = raw.find(b"\n\n") + 2
+    path.write_bytes(raw[:blob] + np.float32(np.nan).tobytes() + raw[blob + 4 :])
 
 
 @pytest.fixture

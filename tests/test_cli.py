@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import write_non_finite_checkpoint
 from cyclevc import cli
 from cyclevc.errors import TrainingError
 from cyclevc.features import read_features
@@ -68,6 +69,25 @@ def test_wrong_sample_rate_is_exit_one(tmp_path, capsys):
     )
     assert rc == 1
     assert "unsupported fs 16000" in capsys.readouterr().err
+
+
+def test_enhance_with_a_non_finite_checkpoint_is_exit_one(tmp_path, capsys):
+    model = tmp_path / "m.ckpt"
+    write_non_finite_checkpoint(model)
+    (tmp_path / "feats").mkdir()
+    rc = cli.main(
+        [
+            "enhance",
+            "--model",
+            str(model),
+            "--features-dir",
+            str(tmp_path / "feats"),
+            "--out-dir",
+            str(tmp_path / "out"),
+        ]
+    )
+    assert rc == 1
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_internal_failures_are_exit_two(tmp_path, capsys, monkeypatch):

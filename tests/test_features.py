@@ -275,6 +275,14 @@ def test_unknown_domain_tag_is_rejected():
         NormStats(mean=np.zeros(50), std=np.ones(50), domain_tag="bogus")
 
 
+@pytest.mark.parametrize("field", ["mean", "std"])
+def test_non_finite_norm_vectors_are_rejected(field):
+    vectors = {"mean": np.zeros(50), "std": np.ones(50)}
+    vectors[field][7] = np.nan
+    with pytest.raises(InputError, match=f"norm {field}"):
+        NormStats(domain_tag="source", **vectors)
+
+
 def test_denormalize_rejects_wrong_width():
     stats = compute_norm_stats([make_features("u", 5)], "target")
     with pytest.raises(ShapeError):

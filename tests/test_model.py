@@ -4,7 +4,7 @@ and checkpoint round trips."""
 import numpy as np
 import pytest
 
-from conftest import make_model, tiny_arch
+from conftest import make_model, tiny_arch, write_non_finite_checkpoint
 from cyclevc.errors import ConfigError, FormatError, InputError, PairingError, ShapeError
 from cyclevc.features import N_DIMS, NormStats
 from cyclevc.model import (
@@ -474,4 +474,31 @@ def test_checkpoint_with_wrong_param_count_is_rejected(tmp_path):
     path = _saved(tmp_path)
     _edit_header(path, "param_count=3942", "param_count=9999")
     with pytest.raises(FormatError, match="declares 9999"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_non_integer_param_count_is_rejected(tmp_path):
+    path = _saved(tmp_path)
+    _edit_header(path, "param_count=3942", "param_count=abc")
+    with pytest.raises(FormatError, match="declares abc parameters"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_checkpoint_with_non_finite_normalization_is_rejected(tmp_path, token):
+    path = _saved(tmp_path)
+    header, blob = _split_checkpoint(path)
+    lines = [
+        "src_std=" + " ".join([token] + ["1.0"] * 49) if l.startswith("src_std=") else l
+        for l in header.splitlines()
+    ]
+    _write_checkpoint(path, "\n".join(lines), blob)
+    with pytest.raises(FormatError, match="src_std has non-finite values"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_non_finite_parameters_is_rejected(tmp_path):
+    path = tmp_path / "m.ckpt"
+    write_non_finite_checkpoint(path)
+    with pytest.raises(FormatError, match="non-finite"):
         load_checkpoint(path)
