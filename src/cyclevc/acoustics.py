@@ -5,27 +5,26 @@ Analysis decomposes a waveform into the package's fixed feature layout:
 log-F0 with linear interpolation through unvoiced stretches, a binary
 voicing flag, and 3 coded band-aperiodicity values.
 
-The envelope of voiced frames is measured by probing harmonic amplitudes
-with windowed DFTs at k*F0 (chirp-z transform), interpolating the log
-amplitudes across frequency, and converting to a truncated warped cepstrum.
-Band aperiodicity contrasts harmonic against interharmonic probe power.
-Unvoiced frames use a smoothed periodogram. Synthesis excites pulse and
+The waveform is zero-padded and framed once (strided views, one row per
+frame), and analysed in blocks of BLOCK_FRAMES frames: YIN pitch and the
+smoothed periodograms of unvoiced frames are batched FFTs over the block's
+rows. The envelope of voiced frames is measured by probing harmonic
+amplitudes with windowed DFTs at k*F0, interpolating the log amplitudes
+across frequency, and converting to a truncated warped cepstrum. Band
+aperiodicity contrasts harmonic against interharmonic probe power. Both
+probe sets come from one chirp-z transform per voiced frame, at a half-F0
+step, computed as a Bluestein FFT convolution. Synthesis excites pulse and
 noise sources, mixes them per aperiodicity band, and applies the envelope
 frame-by-frame with FFT overlap-add.
-
-The analyzer/synthesizer pair is an adapter: anything implementing
-AnalysisBackend can replace the shipped SourceFilterBackend.
 """
 
-import abc
-
 import numpy as np
-from scipy.fft import irfft, rfft, rfftfreq
-from scipy.signal import czt
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.fft import fft, ifft, irfft, next_fast_len, rfft, rfftfreq
 
 from .errors import ConfigError, InputError
 from .features import CAP_DIM, FRAME_SHIFT_MS, MCEP_DIM, UtteranceFeatures
-from .sigproc import WarpedCepstrumCodec, box_smooth, hann_periodic, yin_period
+from .sigproc import WarpedCepstrumCodec, box_smooth, hann_periodic, yin_periods
 
 FS = 24000
 HOP = FS * FRAME_SHIFT_MS // 1000  # 120 samples
@@ -49,6 +48,8 @@ UNVOICED_FFT = 2048
 SMOOTH_HALF_BINS = 17  # ~200 Hz at 2048-point FFT
 
 CAP_BANDS = ((0.0, 2000.0), (2000.0, 6000.0), (6000.0, 12000.0))
+# the band of frequency f is searchsorted(CAP_EDGES, f, "right")
+CAP_EDGES = np.array([hi for _, hi in CAP_BANDS[:-1]])
 # Envelope dynamic range is limited to 60 dB below the frame peak (with an
 # absolute guard for silence): a deeper cliff would make the 45-dim cepstrum
 # ring, and the ringing aliases when the envelope is re-sampled at harmonics.
@@ -56,19 +57,16 @@ AMP_RANGE = 1e-3
 AMP_FLOOR = 1e-7
 CAP_DB_FLOOR = -60.0
 
+# frames analysed per batch: whole-utterance batches cost memory (the YIN and
+# periodogram spectra of every frame at once) for no further speed
+BLOCK_FRAMES = 64
+# zero padding on each side of the waveform: the widest analysis window
+# (the longest voiced-frame window) centred on the first or last frame fits
+PAD = ENV_WINDOW_MAX // 2 + 1
+
 SYN_WINDOW = 480
 SYN_FFT = 1024
 _SYN_SEED = 0x5F3C0DE
-
-
-def _slice_padded(x, start, length):
-    """x[start:start+length] with zero padding outside the signal."""
-    out = np.zeros(length, dtype=np.float64)
-    lo = max(start, 0)
-    hi = min(start + length, len(x))
-    if hi > lo:
-        out[lo - start : hi - start] = x[lo:hi]
-    return out
 
 
 def _interp_lf0(f0, voiced):
@@ -81,21 +79,31 @@ def _interp_lf0(f0, voiced):
     return np.interp(np.arange(n), idx, np.log(f0[idx]))
 
 
-class AnalysisBackend(abc.ABC):
-    """Adapter between waveforms and the package feature layout."""
+def _probe(wx, f0, count):
+    """|DFT| of wx at the harmonics k*f0 and at (k - 0.5)*f0, k = 1..count.
 
-    name = "abstract"
+    The two sets are the odd and even outputs of one chirp-z transform that
+    starts at f0/2 and steps by f0/2 (m = 2*count points), computed as a
+    Bluestein convolution. With phi = pi*f0/FS, output j (frequency
+    (j+1)*f0/2) is sum_n wx[n] exp(-i*phi*(j+1)*n), and
+    (j+1)*n = ((n+1)^2 - 1)/2 + (j^2 - (j-n)^2)/2, so up to unit-modulus
+    factors it is the convolution of wx[n]*conj(chirp[n+1]) with chirp, where
+    chirp[k] = exp(i*phi*k^2/2). The chirp is built from real phases.
+    Returns (harmonic, interharmonic), unnormalized.
+    """
+    n, m = len(wx), 2 * count
+    nfft = next_fast_len(n + m - 1)
+    k = np.arange(max(n + 1, m), dtype=np.float64)
+    chirp = np.exp(1j * ((0.5 * np.pi * f0 / FS) * (k * k)))
+    kernel = np.zeros(nfft, dtype=np.complex128)
+    kernel[:m] = chirp[:m]
+    kernel[nfft - n + 1 :] = chirp[n - 1 : 0 : -1]  # lags -(n-1)..-1
+    conv = ifft(fft(wx * np.conj(chirp[1 : n + 1]), nfft) * fft(kernel))[:m]
+    mag = np.abs(conv)
+    return mag[1::2], mag[0::2]
 
-    @abc.abstractmethod
-    def analyze(self, waveform, fs, utt_id=""):
-        """Waveform (float samples, [-1, 1]) -> UtteranceFeatures."""
 
-    @abc.abstractmethod
-    def synthesize(self, feat, fs):
-        """UtteranceFeatures -> waveform; deterministic given the input."""
-
-
-class SourceFilterBackend(AnalysisBackend):
+class SourceFilterBackend:
     """The shipped harmonic-probe analyzer and pulse+noise resynthesizer."""
 
     name = "source-filter"
@@ -110,9 +118,7 @@ class SourceFilterBackend(AnalysisBackend):
         self._syn_window = hann_periodic(SYN_WINDOW)
         syn_freqs = rfftfreq(SYN_FFT, 1.0 / FS)
         self._syn_sampler = self.codec.sampler(syn_freqs)
-        self._syn_band_of_bin = np.searchsorted(
-            [hi for _, hi in CAP_BANDS[:-1]], syn_freqs, side="right"
-        )
+        self._syn_band_of_bin = np.searchsorted(CAP_EDGES, syn_freqs, side="right")
 
     # ----- analysis -------------------------------------------------------
 
@@ -128,30 +134,39 @@ class SourceFilterBackend(AnalysisBackend):
             raise InputError("waveform contains non-finite samples")
 
         n = x.size // HOP + 1
-        centers = np.arange(n) * HOP
+        padded = np.zeros(PAD + (n - 1) * HOP + PAD)
+        padded[PAD : PAD + x.size] = x
+
+        def frames(before, width):
+            """Rows x[c - before : c - before + width], zero outside x, for the
+            n frame centres c = t * HOP (strided views, no copy)."""
+            return sliding_window_view(padded[PAD - before :], width)[::HOP][:n]
+
+        yin_frames = frames(YIN_WINDOW // 2, YIN_WINDOW + YIN_TAU_MAX)
+        uv_frames = frames(UNVOICED_WINDOW // 2, UNVOICED_WINDOW)
         f0 = np.zeros(n)
         dip = np.ones(n)
-        rms = np.zeros(n)
-        for t, c in enumerate(centers):
-            seg = _slice_padded(x, c - YIN_WINDOW // 2, YIN_WINDOW + YIN_TAU_MAX)
-            rms[t] = np.sqrt(np.mean(seg[:YIN_WINDOW] ** 2))
-            if rms[t] > SILENCE_RMS:
-                f0[t], dip[t] = yin_period(seg, FS, F0_FLOOR, F0_CEIL, YIN_WINDOW)
-        voiced = (
-            (dip < VOICING_DIP_MAX)
-            & (f0 >= F0_FLOOR * 0.9)
-            & (f0 <= F0_CEIL * 1.1)
-            & (rms > SILENCE_RMS)
-        )
-
+        voiced = np.zeros(n, dtype=bool)
         mcep = np.zeros((n, MCEP_DIM))
-        cap = np.zeros((n, CAP_DIM))
-        for t, c in enumerate(centers):
-            if voiced[t]:
-                mcep[t], cap[t] = self._voiced_frame(x, c, f0[t])
-            else:
-                mcep[t] = self._unvoiced_frame(x, c)
-                cap[t] = 0.0  # fully aperiodic
+        cap = np.zeros((n, CAP_DIM))  # unvoiced frames stay fully aperiodic (0 dB)
+        for lo in range(0, n, BLOCK_FRAMES):
+            hi = min(lo + BLOCK_FRAMES, n)
+            block, idx = slice(lo, hi), np.arange(lo, hi)
+            rms = np.sqrt(np.mean(yin_frames[block, :YIN_WINDOW] ** 2, axis=1))
+            loud = idx[rms > SILENCE_RMS]
+            if loud.size:
+                f0[loud], dip[loud] = yin_periods(yin_frames[loud], FS, F0_FLOOR, F0_CEIL, YIN_WINDOW)
+            voiced[block] = (
+                (dip[block] < VOICING_DIP_MAX)
+                & (f0[block] >= F0_FLOOR * 0.9)
+                & (f0[block] <= F0_CEIL * 1.1)
+                & (rms > SILENCE_RMS)
+            )
+            unvoiced = idx[~voiced[block]]
+            if unvoiced.size:
+                mcep[unvoiced] = self._unvoiced_envelopes(uv_frames[unvoiced])
+            for t in idx[voiced[block]]:
+                mcep[t], cap[t] = self._voiced_frame(padded, PAD + t * HOP, f0[t])
 
         return UtteranceFeatures(
             utt_id=utt_id,
@@ -161,23 +176,19 @@ class SourceFilterBackend(AnalysisBackend):
             cap=cap,
         )
 
-    def _probe(self, wx, f0, count, offset):
-        """|DFT| probes at (k + offset) * f0 for k = 1..count (unnormalized)."""
-        step = np.exp(-2j * np.pi * f0 / FS)
-        start = np.exp(2j * np.pi * f0 * (1.0 + offset) / FS)
-        return np.abs(czt(wx, m=count, w=step, a=start))
-
-    def _voiced_frame(self, x, center, f0):
+    def _voiced_frame(self, padded, center, f0):
+        """Cepstrum and band aperiodicity of the frame centred at padded[center]."""
         w_len = int(round(ENV_PERIODS * FS / f0)) | 1
         w_len = min(max(w_len, ENV_WINDOW_MIN), ENV_WINDOW_MAX)
         win = np.hanning(w_len)
-        seg = _slice_padded(x, center - w_len // 2, w_len)
-        wx = seg * win
+        start = center - w_len // 2
+        wx = padded[start : start + w_len] * win
         gain = 2.0 / win.sum()
 
         n_harm = int((NYQUIST - 0.6 * f0) // f0)
-        amps = self._probe(wx, f0, n_harm, 0.0) * gain
-        inter = self._probe(wx, f0, n_harm, -0.5) * gain  # (k - 0.5) * f0, k=1..
+        amps, inter = _probe(wx, f0, n_harm)  # k * f0 and (k - 0.5) * f0, k=1..
+        amps *= gain
+        inter *= gain
 
         floor = max(amps.max() * AMP_RANGE, AMP_FLOOR)
         log_h = np.log(np.maximum(amps, floor))
@@ -193,22 +204,23 @@ class SourceFilterBackend(AnalysisBackend):
         cep = self.codec.cepstrum(xp, fp)
 
         inter_freqs = (np.arange(1, n_harm + 1) - 0.5) * f0
-        cap = np.zeros(CAP_DIM)
-        for b, (lo, hi) in enumerate(CAP_BANDS):
-            hp = np.sum(amps[(freqs >= lo) & (freqs < hi)] ** 2)
-            npow = np.sum(inter[(inter_freqs >= lo) & (inter_freqs < hi)] ** 2)
-            total = hp + npow
-            frac = min(1.0, 2.0 * npow / total) if total > 0 else 1.0
-            cap[b] = np.clip(10.0 * np.log10(max(frac, 1e-6)), CAP_DB_FLOOR, 0.0)
+        hp = np.bincount(np.searchsorted(CAP_EDGES, freqs, "right"), amps**2, CAP_DIM)
+        npow = np.bincount(np.searchsorted(CAP_EDGES, inter_freqs, "right"), inter**2, CAP_DIM)
+        total = hp + npow
+        frac = np.ones(CAP_DIM)
+        np.divide(2.0 * npow, total, out=frac, where=total > 0)
+        # frac in [1e-6, 1], so cap in [-60, 0] dB (np.clip is slow on 3 values)
+        cap = np.maximum(10.0 * np.log10(np.maximum(np.minimum(frac, 1.0), 1e-6)), CAP_DB_FLOOR)
         return cep, cap
 
-    def _unvoiced_frame(self, x, center):
-        seg = _slice_padded(x, center - UNVOICED_WINDOW // 2, UNVOICED_WINDOW)
-        spectrum = rfft(seg * self._uv_window, UNVOICED_FFT)
+    def _unvoiced_envelopes(self, segs):
+        """Cepstra of smoothed periodograms, one per row of UNVOICED_WINDOW samples."""
+        spectrum = rfft(segs * self._uv_window, UNVOICED_FFT, axis=1)
         power = box_smooth(np.abs(spectrum) ** 2, SMOOTH_HALF_BINS)
         amp = 2.0 * np.sqrt(power) / self._uv_window.sum()
-        floor = max(amp.max() * AMP_RANGE, AMP_FLOOR)
-        return self.codec.cepstrum(self._uv_freqs, np.log(np.maximum(amp, floor)))
+        floor = np.maximum(amp.max(axis=1) * AMP_RANGE, AMP_FLOOR)
+        log_amp = np.log(np.maximum(amp, floor[:, None]))
+        return [self.codec.cepstrum(self._uv_freqs, row) for row in log_amp]
 
     # ----- synthesis ------------------------------------------------------
 

@@ -7,10 +7,13 @@ Per-frame layout is fixed: 45 mel-cepstral coefficients (dim 0 = energy),
 Feature file (little-endian): magic "CVF1", u32 version=1, u32 n_frames,
 u32 n_dims=50, u32 frame_shift_us=5000, u32 reserved=0, then
 n_frames x 50 float32 rows in the layout above. All in-memory arrays are
-float32 so a write/read round trip is bit-exact.
+float32 so a write/read round trip is bit-exact. Artifacts are written
+atomically (`atomic_open`).
 """
 
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -106,11 +109,26 @@ class UtteranceFeatures:
         )
 
 
+@contextmanager
+def atomic_open(path, mode="wb", **kwargs):
+    """Open a temp file beside `path` for writing; on a clean exit it replaces
+    `path` (os.replace), on an error it is removed. Readers see the old file
+    or the whole new one, never a partial write."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def write_features(feat, path):
     """Write an UtteranceFeatures to the binary feature format."""
     frames = feat.full_frames().astype("<f4")
     header = _HEADER.pack(_MAGIC, _VERSION, feat.n_frames, N_DIMS, FRAME_SHIFT_US, 0)
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(header)
         fh.write(frames.tobytes())
 
@@ -195,15 +213,13 @@ def denormalize_mcep(mcep_norm, stats):
 
 def write_manifest(records, path):
     """Write pairing manifest lines: utt_id TAB natural_path TAB synthetic_path."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for utt_id, natural, synthetic in records:
             fh.write(f"{utt_id}\t{natural}\t{synthetic}\n")
 
 
 def read_manifest(path):
     """Read a pairing manifest; relative paths resolve against the manifest dir."""
-    import os
-
     base = os.path.dirname(os.path.abspath(str(path)))
     records = []
     with open(path, "r", encoding="utf-8") as fh:

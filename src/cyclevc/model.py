@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, FormatError, InputError, PairingError, ShapeError
-from .features import MCEP_DIM, N_DIMS, NormStats
+from .features import MCEP_DIM, N_DIMS, NormStats, atomic_open
 
 RHO_DEFAULT = 1e-8
 
@@ -512,7 +512,7 @@ def save_checkpoint(model, path):
     blob = np.concatenate(
         [model.params[name].ravel() for name in param_order(model.arch)]
     ).astype("<f4")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(header.encode("utf-8"))
         fh.write(blob.tobytes())
 

@@ -1,14 +1,13 @@
 """Signal-processing primitives behind the acoustic analyzer.
 
 Covers the all-pass frequency warp, a warped-cepstrum codec (log spectral
-envelope <-> truncated cepstrum on the warped axis), a YIN-style per-frame
-period estimator, and narrowband sinusoid probing used for harmonic
-amplitude measurement.
+envelope <-> truncated cepstrum on the warped axis), a YIN-style period
+estimator that runs on a block of frames at once, and narrowband sinusoid
+probing used for harmonic amplitude measurement.
 """
 
 import numpy as np
-from scipy.fft import dct
-from scipy.signal import correlate
+from scipy.fft import dct, irfft, next_fast_len, rfft
 
 
 def hann_periodic(n):
@@ -80,71 +79,86 @@ class WarpedCepstrumCodec:
         return grid[i0] * (1.0 - frac) + grid[i0 + 1] * frac
 
 
-def yin_period(segment, fs, fmin, fmax, integration, threshold=0.15):
-    """YIN-style period estimate for one frame.
+def yin_periods(frames, fs, fmin, fmax, integration, threshold=0.15):
+    """YIN-style period estimates for a block of frames, one per row.
 
     Parameters
     ----------
-    segment : array
-        Samples covering integration + fs/fmin points (zero-padded if short).
+    frames : 2-D array
+        One frame per row, each covering integration + round(fs/fmin)
+        samples (longer rows are cut to that).
     integration : int
         Integration window length W in samples.
 
     Returns
     -------
-    f0 : float
-        Estimated fundamental in Hz, 0.0 when no usable periodicity.
-    dip : float
-        Minimum of the cumulative-mean-normalized difference (1.0 = none);
-        small values mean strong periodicity.
+    f0 : array
+        Estimated fundamental in Hz per row, 0.0 when no usable periodicity.
+    dip : array
+        Minimum of the cumulative-mean-normalized difference per row (1.0 =
+        none); small values mean strong periodicity.
     """
     tau_max = int(round(fs / fmin))
     tau_min = max(2, int(round(fs / fmax)))
     need = integration + tau_max
-    x = np.asarray(segment, dtype=np.float64)
-    if len(x) < need:
-        x = np.concatenate([x, np.zeros(need - len(x))])
-    x = x[:need]
+    x = np.asarray(frames, dtype=np.float64)[:, :need]
+    rows = np.arange(len(x))
 
-    sq = np.cumsum(np.concatenate([[0.0], x * x]))
-    pow0 = sq[integration]
-    if pow0 < 1e-14:
-        return 0.0, 1.0
-    pow_tau = sq[np.arange(tau_max + 1) + integration] - sq[np.arange(tau_max + 1)]
-    c = correlate(x, x[:integration], mode="valid", method="auto")[: tau_max + 1]
-    d = pow0 + pow_tau - 2.0 * c
-    d = np.maximum(d, 0.0)
+    sq = np.zeros((len(x), need + 1))
+    np.cumsum(x * x, axis=1, out=sq[:, 1:])
+    pow0 = sq[:, integration]
+    pow_tau = sq[:, integration : need + 1] - sq[:, : tau_max + 1]
+    # c[tau] = sum_j x[tau + j] x[j], j < W: tau + j < need, so a circular
+    # correlation of length >= need has no wrap-around
+    nfft = next_fast_len(need, real=True)
+    spec = rfft(x, nfft, axis=1) * np.conj(rfft(x[:, :integration], nfft, axis=1))
+    c = irfft(spec, nfft, axis=1)[:, : tau_max + 1]
+    d = np.maximum(pow0[:, None] + pow_tau - 2.0 * c, 0.0)
 
     # cumulative-mean normalization
     dn = np.ones_like(d)
-    csum = np.cumsum(d[1:])
-    nz = csum > 0
+    csum = np.cumsum(d[:, 1:], axis=1)
     taus = np.arange(1, tau_max + 1, dtype=np.float64)
-    dn[1:][nz] = d[1:][nz] * taus[nz] / csum[nz]
+    np.divide(d[:, 1:] * taus, csum, out=dn[:, 1:], where=csum > 0)
 
+    # first dip below the threshold, then downhill to its local minimum;
+    # with no dip below it, the global minimum of the search band
     lo, hi = tau_min, tau_max
-    band = dn[lo : hi + 1]
-    below = np.flatnonzero(band < threshold)
-    if len(below):
-        tau = lo + below[0]
-        while tau + 1 <= hi and dn[tau + 1] < dn[tau]:
-            tau += 1
-    else:
-        tau = lo + int(np.argmin(band))
-    dip = float(dn[tau])
+    band = dn[:, lo : hi + 1]
+    below = band < threshold
+    first = np.argmax(below, axis=1)
+    stops = np.ones(band.shape, dtype=bool)
+    stops[:, :-1] = band[:, 1:] >= band[:, :-1]
+    stops &= np.arange(band.shape[1]) >= first[:, None]
+    tau = lo + np.where(below.any(axis=1), np.argmax(stops, axis=1), np.argmin(band, axis=1))
+    dip = dn[rows, tau]
 
-    # parabolic refinement on the raw difference function
-    if 1 <= tau < tau_max:
-        a, b, cc = d[tau - 1], d[tau], d[tau + 1]
-        denom = a - 2.0 * b + cc
-        shift = 0.5 * (a - cc) / denom if abs(denom) > 1e-12 else 0.0
-        shift = float(np.clip(shift, -1.0, 1.0))
-    else:
-        shift = 0.0
-    period = tau + shift
-    if period <= 0:
-        return 0.0, dip
-    return fs / period, dip
+    # parabolic refinement on the raw difference function (tau >= 2)
+    inner = tau < tau_max
+    a = d[rows, tau - 1]
+    b = d[rows, tau]
+    cc = d[rows, np.minimum(tau + 1, tau_max)]
+    denom = a - 2.0 * b + cc
+    shift = np.zeros(len(x))
+    np.divide(0.5 * (a - cc), denom, out=shift, where=inner & (np.abs(denom) > 1e-12))
+    period = tau + np.clip(shift, -1.0, 1.0)
+
+    silent = pow0 < 1e-14
+    return np.where(silent, 0.0, fs / period), np.where(silent, 1.0, dip)
+
+
+def yin_period(segment, fs, fmin, fmax, integration, threshold=0.15):
+    """YIN-style period estimate for one frame: yin_periods on a single row.
+
+    `segment` is zero-padded to integration + round(fs/fmin) samples when
+    short. Returns (f0 in Hz or 0.0, dip) as floats.
+    """
+    need = integration + int(round(fs / fmin))
+    x = np.zeros((1, need))
+    seg = np.asarray(segment, dtype=np.float64)[:need]
+    x[0, : len(seg)] = seg
+    f0, dip = yin_periods(x, fs, fmin, fmax, integration, threshold)
+    return float(f0[0]), float(dip[0])
 
 
 def probe_amplitudes(segment, window, freqs_hz, fs):
@@ -164,12 +178,15 @@ def probe_amplitudes(segment, window, freqs_hz, fs):
 
 
 def box_smooth(values, half_width):
-    """Moving average with window (2*half_width + 1), edge-shrunk at borders."""
+    """Moving average with window (2*half_width + 1), edge-shrunk at borders,
+    along the last axis."""
     v = np.asarray(values, dtype=np.float64)
     if half_width <= 0:
         return v.copy()
-    c = np.cumsum(np.concatenate([[0.0], v]))
-    idx = np.arange(len(v))
+    n = v.shape[-1]
+    c = np.zeros(v.shape[:-1] + (n + 1,))
+    np.cumsum(v, axis=-1, out=c[..., 1:])
+    idx = np.arange(n)
     lo = np.maximum(idx - half_width, 0)
-    hi = np.minimum(idx + half_width + 1, len(v))
-    return (c[hi] - c[lo]) / (hi - lo)
+    hi = np.minimum(idx + half_width + 1, n)
+    return (c[..., hi] - c[..., lo]) / (hi - lo)

@@ -27,13 +27,24 @@ def write_wav(path, x, fs):
 
 
 def read_wav(path):
-    """Read a mono 16-bit PCM WAV file; returns (waveform float64 in [-1, 1], fs)."""
-    with wave.open(str(path), "rb") as w:
-        if w.getnchannels() != 1:
-            raise FormatError(f"{path}: expected mono, got {w.getnchannels()} channels")
-        if w.getsampwidth() != 2:
-            raise FormatError(f"{path}: expected 16-bit PCM, got {8 * w.getsampwidth()}-bit")
-        fs = w.getframerate()
-        raw = w.readframes(w.getnframes())
+    """Read a mono 16-bit PCM WAV file; returns (waveform float64 in [-1, 1], fs).
+
+    A file that is not a well-formed WAV raises FormatError.
+    """
+    try:
+        with wave.open(str(path), "rb") as w:
+            if w.getnchannels() != 1:
+                raise FormatError(f"{path}: expected mono, got {w.getnchannels()} channels")
+            if w.getsampwidth() != 2:
+                raise FormatError(f"{path}: expected 16-bit PCM, got {8 * w.getsampwidth()}-bit")
+            fs = w.getframerate()
+            n_frames = w.getnframes()
+            raw = w.readframes(n_frames)
+    except (wave.Error, EOFError) as exc:
+        raise FormatError(f"{path}: not a valid WAV file ({str(exc) or 'truncated'})") from exc
+    if fs <= 0:
+        raise FormatError(f"{path}: sample rate is {fs}")
+    if len(raw) != 2 * n_frames:
+        raise FormatError(f"{path}: truncated sample data ({len(raw)} of {2 * n_frames} bytes)")
     x = np.frombuffer(raw, dtype="<i2").astype(np.float64) / _PCM_SCALE
     return x, fs

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_features
-from cyclevc.acoustics import FS, HOP, SourceFilterBackend, analyze, synthesize
+from cyclevc.acoustics import FS, HOP, _probe, analyze, synthesize
 from cyclevc.errors import ConfigError, InputError
 from cyclevc.evaluation import mcd_frame
 from cyclevc.sigproc import probe_amplitudes
@@ -61,17 +61,18 @@ def test_analysis_rejects_degenerate_waveforms():
         analyze(bad, FS)
 
 
-def test_internal_probe_matches_reference_dft(rng):
-    backend = SourceFilterBackend()
-    seg = rng.standard_normal(801)
-    win = np.hanning(801)
-    f0 = 137.0
-    count = 12
+@pytest.mark.parametrize("f0, w_len", [(60.0, 1601), (137.0, 801), (400.0, 201)])
+def test_internal_probe_matches_reference_dft(rng, f0, w_len):
+    seg = rng.standard_normal(w_len)
+    win = np.hanning(w_len)
+    count = int((FS / 2 - 0.6 * f0) // f0)
     gain = 2.0 / win.sum()
-    via_czt = backend._probe(seg * win, f0, count, 0.0) * gain
-    freqs = np.arange(1, count + 1) * f0
-    via_dft = probe_amplitudes(seg, win, freqs, FS)
-    assert np.allclose(via_czt, via_dft, rtol=1e-9, atol=1e-12)
+    harmonic, interharmonic = _probe(seg * win, f0, count)
+    k = np.arange(1, count + 1)
+    via_dft = probe_amplitudes(seg, win, k * f0, FS)
+    assert np.allclose(harmonic * gain, via_dft, rtol=1e-9, atol=1e-12)
+    via_dft = probe_amplitudes(seg, win, (k - 0.5) * f0, FS)
+    assert np.allclose(interharmonic * gain, via_dft, rtol=1e-9, atol=1e-12)
 
 
 # ----- synthesis ----------------------------------------------------------------

@@ -55,6 +55,15 @@ def test_bad_input_is_exit_one(tmp_path, capsys):
     assert "no WAV files" in capsys.readouterr().err
 
 
+def test_malformed_wav_is_exit_one(tmp_path, capsys):
+    wav_dir = tmp_path / "wav"
+    wav_dir.mkdir()
+    (wav_dir / "junk.wav").write_bytes(b"RIFF\x10\x00\x00\x00WAVEjunk")
+    rc = cli.main(["extract", "--wav-dir", str(wav_dir), "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert "not a valid WAV" in capsys.readouterr().err
+
+
 def test_missing_file_is_exit_one(tmp_path, capsys):
     rc = cli.main(
         ["train", "--manifest", str(tmp_path / "nope.tsv"), "--out-dir", str(tmp_path)]

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import make_features
+from conftest import make_features, make_model
+from cyclevc import features
 from cyclevc.errors import FormatError, InputError, ShapeError
 from cyclevc.features import (
     CAP_SLICE,
@@ -13,6 +14,7 @@ from cyclevc.features import (
     UV_INDEX,
     NormStats,
     UtteranceFeatures,
+    atomic_open,
     compute_norm_stats,
     denormalize_mcep,
     normalize,
@@ -21,6 +23,7 @@ from cyclevc.features import (
     write_features,
     write_manifest,
 )
+from cyclevc.model import save_checkpoint
 
 # ----- container validation -------------------------------------------------
 
@@ -316,3 +319,53 @@ def test_manifest_malformed_line_reports_line_number(tmp_path):
     path.write_text("u1\ta\tb\nu2\tonly-two-fields\n", encoding="utf-8")
     with pytest.raises(FormatError, match="2"):
         read_manifest(path)
+
+
+# ----- atomic writes ----------------------------------------------------------
+
+
+def _fail_on_replace(monkeypatch):
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(features.os, "replace", refuse)
+
+
+def test_a_write_that_fails_midway_keeps_the_old_file(tmp_path):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"previous")
+    with pytest.raises(RuntimeError, match="midway"):
+        with atomic_open(path) as fh:
+            fh.write(b"partial")
+            raise RuntimeError("midway")
+    assert path.read_bytes() == b"previous"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+
+def test_manifest_failing_midway_keeps_the_old_manifest(tmp_path):
+    path = tmp_path / "pairs.tsv"
+    write_manifest([("u", "nat/u.cvf", "syn/u.cvf")], path)
+    before = path.read_bytes()
+
+    def records():
+        yield ("v", "nat/v.cvf", "syn/v.cvf")
+        raise RuntimeError("midway")
+
+    with pytest.raises(RuntimeError, match="midway"):
+        write_manifest(records(), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["pairs.tsv"]
+
+
+def test_failed_feature_and_checkpoint_writes_keep_the_old_files(tmp_path, monkeypatch):
+    cvf, ckpt = tmp_path / "u.cvf", tmp_path / "m.ckpt"
+    write_features(make_features("u", 5), cvf)
+    save_checkpoint(make_model(seed=1), ckpt)
+    before = cvf.read_bytes(), ckpt.read_bytes()
+    _fail_on_replace(monkeypatch)
+    with pytest.raises(OSError, match="disk full"):
+        write_features(make_features("u", 9), cvf)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(make_model(seed=2), ckpt)
+    assert (cvf.read_bytes(), ckpt.read_bytes()) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt", "u.cvf"]

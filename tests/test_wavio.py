@@ -63,3 +63,40 @@ def test_read_rejects_non_16bit_file(tmp_path):
         w.writeframes(np.zeros(100, dtype="<i4").tobytes())
     with pytest.raises(FormatError, match="16-bit"):
         read_wav(path)
+
+
+def _ok_wav_bytes(tmp_path):
+    path = tmp_path / "ok.wav"
+    write_wav(path, np.zeros(100), 24000)
+    return path.read_bytes()
+
+
+def test_read_rejects_a_file_that_is_not_a_wave(tmp_path):
+    path = tmp_path / "junk.wav"
+    path.write_bytes(b"RIFF\x10\x00\x00\x00WAVEjunk")
+    with pytest.raises(FormatError, match="not a valid WAV"):
+        read_wav(path)
+
+
+def test_read_rejects_a_truncated_header(tmp_path):
+    for size in (5, 30):
+        path = tmp_path / f"short{size}.wav"
+        path.write_bytes(_ok_wav_bytes(tmp_path)[:size])
+        with pytest.raises(FormatError, match="not a valid WAV"):
+            read_wav(path)
+
+
+def test_read_rejects_a_non_positive_frame_rate(tmp_path):
+    raw = _ok_wav_bytes(tmp_path)
+    path = tmp_path / "rate0.wav"
+    path.write_bytes(raw[:24] + (0).to_bytes(4, "little") + raw[28:])  # fmt chunk's frame rate
+    with pytest.raises(FormatError, match="sample rate is 0"):
+        read_wav(path)
+
+
+@pytest.mark.parametrize("cut", [1, 2, 120])
+def test_read_rejects_truncated_sample_data(tmp_path, cut):
+    path = tmp_path / "cut.wav"
+    path.write_bytes(_ok_wav_bytes(tmp_path)[:-cut])
+    with pytest.raises(FormatError, match="truncated sample data"):
+        read_wav(path)
