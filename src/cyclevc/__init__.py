@@ -4,154 +4,16 @@ Trains a source-to-target spectral converter jointly with its reverse,
 uses the reverse-then-forward self-conversion cycle to make temporally
 matched vocoder-training features, enhances synthetic features at test
 time, and evaluates everything with mel-cepstral distortion maps.
+
+The names below are the Python API the README documents; everything else
+is reached through its module (`cyclevc.features`, `cyclevc.model`, ...).
 """
 
-from .acoustics import FS, HOP, SourceFilterBackend, analyze, synthesize
-from .degrade import DegradeConfig, simulate_tts
-from .errors import (
-    ConfigError,
-    CycleVCError,
-    FormatError,
-    InputError,
-    PairingError,
-    ShapeError,
-    TrainingError,
-)
-from .evaluation import (
-    MCD_COEF,
-    MCDPlaneResult,
-    embed_distances,
-    mcd_frame,
-    mcd_plane,
-    mcd_set,
-    mcd_utterance,
-    write_plane_svg,
-    write_plane_tsv,
-)
-from .features import (
-    MCEP_DIM,
-    N_DIMS,
-    NormStats,
-    UtteranceFeatures,
-    compute_norm_stats,
-    denormalize_mcep,
-    normalize,
-    read_features,
-    read_manifest,
-    write_features,
-    write_manifest,
-)
-from .fixture import make_corpus
-from .model import (
-    RHO_DEFAULT,
-    CycleVCModel,
-    LossBreakdown,
-    ModelArch,
-    cycle_loss,
-    cycle_path,
-    load_checkpoint,
-    loss_gradients,
-    save_checkpoint,
-    splice_prosody,
-    stot_forward,
-    ttos_forward,
-)
-from .pipeline import (
-    SCENARIOS,
-    ResynthesisBackend,
-    ScenarioAssets,
-    VocoderBackend,
-    enhance,
-    generate_pseudo,
-    run_end_to_end,
-    run_scenario,
-    split_train_test,
-    write_report,
-)
-from .training import (
-    AdamOptimizer,
-    PairedUtterance,
-    TrainConfig,
-    load_model,
-    pair_dataset,
-    pair_features,
-    pairing_report,
-    save_model,
-    train,
-    write_loss_curve,
-)
-from .wavio import read_wav, write_wav
+from .acoustics import analyze
+from .degrade import simulate_tts
+from .model import load_checkpoint
+from .pipeline import enhance, generate_pseudo, run_end_to_end
+from .training import TrainConfig
+from .wavio import read_wav
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdamOptimizer",
-    "ConfigError",
-    "CycleVCError",
-    "CycleVCModel",
-    "DegradeConfig",
-    "FS",
-    "FormatError",
-    "HOP",
-    "InputError",
-    "LossBreakdown",
-    "MCDPlaneResult",
-    "MCD_COEF",
-    "MCEP_DIM",
-    "ModelArch",
-    "N_DIMS",
-    "NormStats",
-    "PairedUtterance",
-    "PairingError",
-    "RHO_DEFAULT",
-    "ResynthesisBackend",
-    "SCENARIOS",
-    "ScenarioAssets",
-    "ShapeError",
-    "SourceFilterBackend",
-    "TrainConfig",
-    "TrainingError",
-    "UtteranceFeatures",
-    "VocoderBackend",
-    "analyze",
-    "compute_norm_stats",
-    "cycle_loss",
-    "cycle_path",
-    "denormalize_mcep",
-    "embed_distances",
-    "enhance",
-    "generate_pseudo",
-    "load_checkpoint",
-    "load_model",
-    "loss_gradients",
-    "make_corpus",
-    "mcd_frame",
-    "mcd_plane",
-    "mcd_set",
-    "mcd_utterance",
-    "normalize",
-    "pair_dataset",
-    "pair_features",
-    "pairing_report",
-    "read_features",
-    "read_manifest",
-    "read_wav",
-    "run_end_to_end",
-    "run_scenario",
-    "save_checkpoint",
-    "save_model",
-    "simulate_tts",
-    "splice_prosody",
-    "split_train_test",
-    "stot_forward",
-    "synthesize",
-    "train",
-    "ttos_forward",
-    "write_features",
-    "write_loss_curve",
-    "write_manifest",
-    "write_plane_svg",
-    "write_plane_tsv",
-    "write_report",
-    "write_wav",
-]

@@ -1,4 +1,4 @@
-"""Acoustic analysis/synthesis backend (24 kHz, 5 ms frame shift).
+"""Acoustic analyzer and resynthesizer (24 kHz, 5 ms frame shift).
 
 Analysis decomposes a waveform into the package's fixed feature layout:
 45-dim mel-cepstrum of the spectral envelope (all-pass warp, alpha = 0.466),
@@ -103,190 +103,170 @@ def _probe(wx, f0, count):
     return mag[1::2], mag[0::2]
 
 
-class SourceFilterBackend:
-    """The shipped harmonic-probe analyzer and pulse+noise resynthesizer."""
-
-    name = "source-filter"
-
-    def __init__(self):
-        self.codec = WarpedCepstrumCodec(FS, order=MCEP_DIM, alpha=MCEP_ALPHA)
-        self._uv_freqs = rfftfreq(UNVOICED_FFT, 1.0 / FS)
-        self._uv_window = np.hanning(UNVOICED_WINDOW)
-        # unit-noise amplitude that makes the unvoiced round trip level-consistent
-        w = self._uv_window
-        self._uv_noise_sigma = w.sum() / (2.0 * np.sqrt(np.sum(w * w)))
-        self._syn_window = hann_periodic(SYN_WINDOW)
-        syn_freqs = rfftfreq(SYN_FFT, 1.0 / FS)
-        self._syn_sampler = self.codec.sampler(syn_freqs)
-        self._syn_band_of_bin = np.searchsorted(CAP_EDGES, syn_freqs, side="right")
-
-    # ----- analysis -------------------------------------------------------
-
-    def analyze(self, waveform, fs, utt_id=""):
-        if fs != FS:
-            raise ConfigError(f"unsupported fs {fs}; this backend runs at {FS} Hz")
-        x = np.asarray(waveform, dtype=np.float64).ravel()
-        if x.size == 0:
-            raise InputError("empty waveform")
-        if x.size < HOP:
-            raise InputError(f"waveform shorter than one frame ({HOP} samples)")
-        if not np.all(np.isfinite(x)):
-            raise InputError("waveform contains non-finite samples")
-
-        n = x.size // HOP + 1
-        padded = np.zeros(PAD + (n - 1) * HOP + PAD)
-        padded[PAD : PAD + x.size] = x
-
-        def frames(before, width):
-            """Rows x[c - before : c - before + width], zero outside x, for the
-            n frame centres c = t * HOP (strided views, no copy)."""
-            return sliding_window_view(padded[PAD - before :], width)[::HOP][:n]
-
-        yin_frames = frames(YIN_WINDOW // 2, YIN_WINDOW + YIN_TAU_MAX)
-        uv_frames = frames(UNVOICED_WINDOW // 2, UNVOICED_WINDOW)
-        f0 = np.zeros(n)
-        dip = np.ones(n)
-        voiced = np.zeros(n, dtype=bool)
-        mcep = np.zeros((n, MCEP_DIM))
-        cap = np.zeros((n, CAP_DIM))  # unvoiced frames stay fully aperiodic (0 dB)
-        for lo in range(0, n, BLOCK_FRAMES):
-            hi = min(lo + BLOCK_FRAMES, n)
-            block, idx = slice(lo, hi), np.arange(lo, hi)
-            rms = np.sqrt(np.mean(yin_frames[block, :YIN_WINDOW] ** 2, axis=1))
-            loud = idx[rms > SILENCE_RMS]
-            if loud.size:
-                f0[loud], dip[loud] = yin_periods(yin_frames[loud], FS, F0_FLOOR, F0_CEIL, YIN_WINDOW)
-            voiced[block] = (
-                (dip[block] < VOICING_DIP_MAX)
-                & (f0[block] >= F0_FLOOR * 0.9)
-                & (f0[block] <= F0_CEIL * 1.1)
-                & (rms > SILENCE_RMS)
-            )
-            unvoiced = idx[~voiced[block]]
-            if unvoiced.size:
-                mcep[unvoiced] = self._unvoiced_envelopes(uv_frames[unvoiced])
-            for t in idx[voiced[block]]:
-                mcep[t], cap[t] = self._voiced_frame(padded, PAD + t * HOP, f0[t])
-
-        return UtteranceFeatures(
-            utt_id=utt_id,
-            mcep=mcep,
-            lf0=_interp_lf0(f0, voiced),
-            uv=voiced.astype(np.float32),
-            cap=cap,
-        )
-
-    def _voiced_frame(self, padded, center, f0):
-        """Cepstrum and band aperiodicity of the frame centred at padded[center]."""
-        w_len = int(round(ENV_PERIODS * FS / f0)) | 1
-        w_len = min(max(w_len, ENV_WINDOW_MIN), ENV_WINDOW_MAX)
-        win = np.hanning(w_len)
-        start = center - w_len // 2
-        wx = padded[start : start + w_len] * win
-        gain = 2.0 / win.sum()
-
-        n_harm = int((NYQUIST - 0.6 * f0) // f0)
-        amps, inter = _probe(wx, f0, n_harm)  # k * f0 and (k - 0.5) * f0, k=1..
-        amps *= gain
-        inter *= gain
-
-        floor = max(amps.max() * AMP_RANGE, AMP_FLOOR)
-        log_h = np.log(np.maximum(amps, floor))
-        if n_harm >= 3:  # soften harmonic-to-harmonic jitter and cliff edges
-            log_h = np.convolve(
-                np.concatenate([log_h[:1], log_h, log_h[-1:]]),
-                [0.25, 0.5, 0.25],
-                "valid",
-            )
-        freqs = np.arange(1, n_harm + 1) * f0
-        xp = np.concatenate([[0.0], freqs, [NYQUIST]])
-        fp = np.concatenate([[log_h[0]], log_h, [log_h[-1]]])
-        cep = self.codec.cepstrum(xp, fp)
-
-        inter_freqs = (np.arange(1, n_harm + 1) - 0.5) * f0
-        hp = np.bincount(np.searchsorted(CAP_EDGES, freqs, "right"), amps**2, CAP_DIM)
-        npow = np.bincount(np.searchsorted(CAP_EDGES, inter_freqs, "right"), inter**2, CAP_DIM)
-        total = hp + npow
-        frac = np.ones(CAP_DIM)
-        np.divide(2.0 * npow, total, out=frac, where=total > 0)
-        # frac in [1e-6, 1], so cap in [-60, 0] dB (np.clip is slow on 3 values)
-        cap = np.maximum(10.0 * np.log10(np.maximum(np.minimum(frac, 1.0), 1e-6)), CAP_DB_FLOOR)
-        return cep, cap
-
-    def _unvoiced_envelopes(self, segs):
-        """Cepstra of smoothed periodograms, one per row of UNVOICED_WINDOW samples."""
-        spectrum = rfft(segs * self._uv_window, UNVOICED_FFT, axis=1)
-        power = box_smooth(np.abs(spectrum) ** 2, SMOOTH_HALF_BINS)
-        amp = 2.0 * np.sqrt(power) / self._uv_window.sum()
-        floor = np.maximum(amp.max(axis=1) * AMP_RANGE, AMP_FLOOR)
-        log_amp = np.log(np.maximum(amp, floor[:, None]))
-        return [self.codec.cepstrum(self._uv_freqs, row) for row in log_amp]
-
-    # ----- synthesis ------------------------------------------------------
-
-    def synthesize(self, feat, fs):
-        if fs != FS:
-            raise ConfigError(f"unsupported fs {fs}; this backend runs at {FS} Hz")
-        feat.validate()
-        n = feat.n_frames
-        length = n * HOP
-        pad = SYN_FFT  # room for the acausal half of the zero-phase envelope IR
-        buf_len = pad + length + 2 * SYN_FFT
-
-        frame_pos = np.arange(length) / HOP
-        lf0 = feat.lf0.astype(np.float64)
-        f0_samp = np.exp(np.interp(frame_pos, np.arange(n), lf0))
-        f0_samp = np.clip(f0_samp, 20.0, NYQUIST * 0.9)
-        uv_samp = feat.uv[np.clip(np.round(frame_pos).astype(int), 0, n - 1)] > 0.5
-
-        # pulse excitation: unit harmonic amplitude needs impulse height T0/2
-        pulses = np.zeros(buf_len)
-        run_starts = np.flatnonzero(np.diff(np.concatenate([[0], uv_samp.view(np.int8)])) == 1)
-        run_ends = np.flatnonzero(np.diff(np.concatenate([uv_samp.view(np.int8), [0]])) == -1)
-        for s, e in zip(run_starts, run_ends):
-            f0_run = f0_samp[s : e + 1]
-            phase = np.cumsum(f0_run / FS) + 0.5
-            hits = np.flatnonzero(np.diff(np.floor(np.concatenate([[0.0], phase]))) >= 1)
-            pulses[pad + s + hits] = FS / (2.0 * f0_run[hits])
-
-        rng = np.random.Generator(np.random.PCG64(_SYN_SEED))
-        noise = rng.standard_normal(buf_len)
-        sigma = np.where(
-            uv_samp, 0.5 * np.sqrt(FS / f0_samp), self._uv_noise_sigma
-        )
-        noise[pad : pad + length] *= sigma
-        noise[:pad] = 0.0
-        noise[pad + length :] = 0.0
-
-        win = self._syn_window
-        out = np.zeros(buf_len)
-        cola = np.zeros(buf_len)
-        mcep = feat.mcep.astype(np.float64)
-        cap_lin = np.power(10.0, feat.cap.astype(np.float64) / 10.0)
-        half = SYN_FFT // 2
-        for t in range(n):
-            s = pad + t * HOP - SYN_WINDOW // 2
-            seg_p = rfft(pulses[s : s + SYN_WINDOW] * win, SYN_FFT)
-            seg_n = rfft(noise[s : s + SYN_WINDOW] * win, SYN_FFT)
-            env = np.exp(self.codec.log_env_at(mcep[t], self._syn_sampler))
-            a = cap_lin[t][self._syn_band_of_bin]
-            spectrum = (seg_p * np.sqrt(1.0 - a) + seg_n * np.sqrt(a)) * env
-            # the zero-phase envelope IR is acausal; center it when placing
-            y = np.roll(irfft(spectrum, SYN_FFT), half)
-            out[s - half : s + half] += y
-            cola[s : s + SYN_WINDOW] += win
-        out /= np.maximum(cola, 0.5)
-        return out[pad : pad + length]
-
-
-DEFAULT_BACKEND = SourceFilterBackend()
+_CODEC = WarpedCepstrumCodec(FS, order=MCEP_DIM, alpha=MCEP_ALPHA)
+_UV_FREQS = rfftfreq(UNVOICED_FFT, 1.0 / FS)
+_UV_HANN = np.hanning(UNVOICED_WINDOW)
+# unit-noise amplitude that makes the unvoiced round trip level-consistent
+_UV_NOISE_SIGMA = _UV_HANN.sum() / (2.0 * np.sqrt(np.sum(_UV_HANN * _UV_HANN)))
+_SYN_HANN = hann_periodic(SYN_WINDOW)
+_SYN_FREQS = rfftfreq(SYN_FFT, 1.0 / FS)
+_SYN_SAMPLER = _CODEC.sampler(_SYN_FREQS)
+_SYN_BAND_OF_BIN = np.searchsorted(CAP_EDGES, _SYN_FREQS, side="right")
 
 
 def analyze(waveform, fs, utt_id=""):
-    """Extract UtteranceFeatures with the default backend."""
-    return DEFAULT_BACKEND.analyze(waveform, fs, utt_id=utt_id)
+    """UtteranceFeatures of a waveform sampled at FS."""
+    if fs != FS:
+        raise ConfigError(f"unsupported fs {fs}; the analyzer runs at {FS} Hz")
+    x = np.asarray(waveform, dtype=np.float64).ravel()
+    if x.size == 0:
+        raise InputError("empty waveform")
+    if x.size < HOP:
+        raise InputError(f"waveform shorter than one frame ({HOP} samples)")
+    if not np.all(np.isfinite(x)):
+        raise InputError("waveform contains non-finite samples")
 
+    n = x.size // HOP + 1
+    padded = np.zeros(PAD + (n - 1) * HOP + PAD)
+    padded[PAD : PAD + x.size] = x
+
+    def frames(before, width):
+        """Rows x[c - before : c - before + width], zero outside x, for the
+        n frame centres c = t * HOP (strided views, no copy)."""
+        return sliding_window_view(padded[PAD - before :], width)[::HOP][:n]
+
+    yin_frames = frames(YIN_WINDOW // 2, YIN_WINDOW + YIN_TAU_MAX)
+    uv_frames = frames(UNVOICED_WINDOW // 2, UNVOICED_WINDOW)
+    f0 = np.zeros(n)
+    dip = np.ones(n)
+    voiced = np.zeros(n, dtype=bool)
+    mcep = np.zeros((n, MCEP_DIM))
+    cap = np.zeros((n, CAP_DIM))  # unvoiced frames stay fully aperiodic (0 dB)
+    for lo in range(0, n, BLOCK_FRAMES):
+        hi = min(lo + BLOCK_FRAMES, n)
+        block, idx = slice(lo, hi), np.arange(lo, hi)
+        rms = np.sqrt(np.mean(yin_frames[block, :YIN_WINDOW] ** 2, axis=1))
+        loud = idx[rms > SILENCE_RMS]
+        if loud.size:
+            f0[loud], dip[loud] = yin_periods(yin_frames[loud], FS, F0_FLOOR, F0_CEIL, YIN_WINDOW)
+        voiced[block] = (
+            (dip[block] < VOICING_DIP_MAX)
+            & (f0[block] >= F0_FLOOR * 0.9)
+            & (f0[block] <= F0_CEIL * 1.1)
+            & (rms > SILENCE_RMS)
+        )
+        unvoiced = idx[~voiced[block]]
+        if unvoiced.size:
+            mcep[unvoiced] = _unvoiced_envelopes(uv_frames[unvoiced])
+        for t in idx[voiced[block]]:
+            mcep[t], cap[t] = _voiced_frame(padded, PAD + t * HOP, f0[t])
+
+    return UtteranceFeatures(
+        utt_id=utt_id,
+        mcep=mcep,
+        lf0=_interp_lf0(f0, voiced),
+        uv=voiced.astype(np.float32),
+        cap=cap,
+    )
+
+def _voiced_frame(padded, center, f0):
+    """Cepstrum and band aperiodicity of the frame centred at padded[center]."""
+    w_len = int(round(ENV_PERIODS * FS / f0)) | 1
+    w_len = min(max(w_len, ENV_WINDOW_MIN), ENV_WINDOW_MAX)
+    win = np.hanning(w_len)
+    start = center - w_len // 2
+    wx = padded[start : start + w_len] * win
+    gain = 2.0 / win.sum()
+
+    n_harm = int((NYQUIST - 0.6 * f0) // f0)
+    amps, inter = _probe(wx, f0, n_harm)  # k * f0 and (k - 0.5) * f0, k=1..
+    amps *= gain
+    inter *= gain
+
+    floor = max(amps.max() * AMP_RANGE, AMP_FLOOR)
+    log_h = np.log(np.maximum(amps, floor))
+    if n_harm >= 3:  # soften harmonic-to-harmonic jitter and cliff edges
+        log_h = np.convolve(
+            np.concatenate([log_h[:1], log_h, log_h[-1:]]),
+            [0.25, 0.5, 0.25],
+            "valid",
+        )
+    freqs = np.arange(1, n_harm + 1) * f0
+    xp = np.concatenate([[0.0], freqs, [NYQUIST]])
+    fp = np.concatenate([[log_h[0]], log_h, [log_h[-1]]])
+    cep = _CODEC.cepstrum(xp, fp)
+
+    inter_freqs = (np.arange(1, n_harm + 1) - 0.5) * f0
+    hp = np.bincount(np.searchsorted(CAP_EDGES, freqs, "right"), amps**2, CAP_DIM)
+    npow = np.bincount(np.searchsorted(CAP_EDGES, inter_freqs, "right"), inter**2, CAP_DIM)
+    total = hp + npow
+    frac = np.ones(CAP_DIM)
+    np.divide(2.0 * npow, total, out=frac, where=total > 0)
+    # frac in [1e-6, 1], so cap in [-60, 0] dB (np.clip is slow on 3 values)
+    cap = np.maximum(10.0 * np.log10(np.maximum(np.minimum(frac, 1.0), 1e-6)), CAP_DB_FLOOR)
+    return cep, cap
+
+def _unvoiced_envelopes(segs):
+    """Cepstra of smoothed periodograms, one per row of UNVOICED_WINDOW samples."""
+    spectrum = rfft(segs * _UV_HANN, UNVOICED_FFT, axis=1)
+    power = box_smooth(np.abs(spectrum) ** 2, SMOOTH_HALF_BINS)
+    amp = 2.0 * np.sqrt(power) / _UV_HANN.sum()
+    floor = np.maximum(amp.max(axis=1) * AMP_RANGE, AMP_FLOOR)
+    log_amp = np.log(np.maximum(amp, floor[:, None]))
+    return [_CODEC.cepstrum(_UV_FREQS, row) for row in log_amp]
 
 def synthesize(feat, fs):
-    """Render a waveform from UtteranceFeatures with the default backend."""
-    return DEFAULT_BACKEND.synthesize(feat, fs)
+    """Waveform at FS rendered from UtteranceFeatures."""
+    if fs != FS:
+        raise ConfigError(f"unsupported fs {fs}; the synthesizer runs at {FS} Hz")
+    feat.validate()
+    n = feat.n_frames
+    length = n * HOP
+    pad = SYN_FFT  # room for the acausal half of the zero-phase envelope IR
+    buf_len = pad + length + 2 * SYN_FFT
+
+    frame_pos = np.arange(length) / HOP
+    lf0 = feat.lf0.astype(np.float64)
+    f0_samp = np.exp(np.interp(frame_pos, np.arange(n), lf0))
+    f0_samp = np.clip(f0_samp, 20.0, NYQUIST * 0.9)
+    uv_samp = feat.uv[np.clip(np.round(frame_pos).astype(int), 0, n - 1)] > 0.5
+
+    # pulse excitation: unit harmonic amplitude needs impulse height T0/2
+    pulses = np.zeros(buf_len)
+    run_starts = np.flatnonzero(np.diff(np.concatenate([[0], uv_samp.view(np.int8)])) == 1)
+    run_ends = np.flatnonzero(np.diff(np.concatenate([uv_samp.view(np.int8), [0]])) == -1)
+    for s, e in zip(run_starts, run_ends):
+        f0_run = f0_samp[s : e + 1]
+        phase = np.cumsum(f0_run / FS) + 0.5
+        hits = np.flatnonzero(np.diff(np.floor(np.concatenate([[0.0], phase]))) >= 1)
+        pulses[pad + s + hits] = FS / (2.0 * f0_run[hits])
+
+    rng = np.random.Generator(np.random.PCG64(_SYN_SEED))
+    noise = rng.standard_normal(buf_len)
+    sigma = np.where(
+        uv_samp, 0.5 * np.sqrt(FS / f0_samp), _UV_NOISE_SIGMA
+    )
+    noise[pad : pad + length] *= sigma
+    noise[:pad] = 0.0
+    noise[pad + length :] = 0.0
+
+    win = _SYN_HANN
+    out = np.zeros(buf_len)
+    cola = np.zeros(buf_len)
+    mcep = feat.mcep.astype(np.float64)
+    cap_lin = np.power(10.0, feat.cap.astype(np.float64) / 10.0)
+    half = SYN_FFT // 2
+    for t in range(n):
+        s = pad + t * HOP - SYN_WINDOW // 2
+        seg_p = rfft(pulses[s : s + SYN_WINDOW] * win, SYN_FFT)
+        seg_n = rfft(noise[s : s + SYN_WINDOW] * win, SYN_FFT)
+        env = np.exp(_CODEC.log_env_at(mcep[t], _SYN_SAMPLER))
+        a = cap_lin[t][_SYN_BAND_OF_BIN]
+        spectrum = (seg_p * np.sqrt(1.0 - a) + seg_n * np.sqrt(a)) * env
+        # the zero-phase envelope IR is acausal; center it when placing
+        y = np.roll(irfft(spectrum, SYN_FFT), half)
+        out[s - half : s + half] += y
+        cola[s : s + SYN_WINDOW] += win
+    out /= np.maximum(cola, 0.5)
+    return out[pad : pad + length]
+

@@ -16,7 +16,7 @@ from . import acoustics, degrade, fixture
 from .errors import ConfigError, CycleVCError, InputError
 from .evaluation import mcd_plane, mcd_set, write_plane_svg, write_plane_tsv
 from .features import read_features, write_features, write_manifest
-from .model import RHO_DEFAULT
+from .model import RHO_DEFAULT, load_checkpoint, save_checkpoint
 from .pipeline import (
     END_TO_END_STAGES,
     SCENARIOS,
@@ -30,10 +30,8 @@ from .training import (
     EPOCHS_DEFAULT,
     LR_DEFAULT,
     TrainConfig,
-    load_model,
     pair_dataset,
     pairing_report,
-    save_model,
     train,
     write_loss_curve,
 )
@@ -62,7 +60,6 @@ def _build_parser():
     p = command("extract", "analyze WAV files into feature files")
     p.add_argument("--wav-dir", required=True)
     p.add_argument("--out-dir", "--out", dest="out_dir", required=True)
-    p.add_argument("--fs", type=int, default=acoustics.FS)
 
     p = command("simulate", "degrade natural features into synthetic-like ones")
     p.add_argument("--features-dir", required=True)
@@ -88,7 +85,7 @@ def _build_parser():
     p.add_argument("--epochs", type=int, default=EPOCHS_DEFAULT)
     p.add_argument("--rho", type=float, default=RHO_DEFAULT)
     p.add_argument("--learning-rate", type=float, default=LR_DEFAULT)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--teacher-forcing", action="store_true")
 
     p = command("pseudo", "self-convert natural features for vocoder training")
@@ -104,7 +101,6 @@ def _build_parser():
     p = command("synth", "render feature files to WAV with the resynthesizer")
     p.add_argument("--features-dir", required=True)
     p.add_argument("--out-dir", "--out", dest="out_dir", required=True)
-    p.add_argument("--fs", type=int, default=acoustics.FS)
 
     p = command("scenario", "render one train/test pairing scenario")
     p.add_argument("--name", required=True, choices=sorted(SCENARIOS))
@@ -134,7 +130,7 @@ def _build_parser():
     p.add_argument("--epochs", type=int, default=EPOCHS_DEFAULT)
     p.add_argument("--rho", type=float, default=RHO_DEFAULT)
     p.add_argument("--learning-rate", type=float, default=LR_DEFAULT)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--sim-seed", type=int, default=degrade.DEFAULT_SEED)
     p.add_argument("--teacher-forcing", action="store_true")
     p.add_argument("--dry-run", action="store_true")
@@ -146,7 +142,7 @@ def _read_config_file(path):
     values = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
@@ -221,8 +217,6 @@ def _load_set(directory, what):
 
 
 def _cmd_extract(args):
-    if args.fs != acoustics.FS:
-        raise ConfigError(f"unsupported fs {args.fs}; the analyzer runs at {acoustics.FS} Hz")
     wavs = sorted(Path(args.wav_dir).glob("*.wav"))
     if not wavs:
         raise InputError(f"no WAV files in {args.wav_dir}")
@@ -230,8 +224,8 @@ def _cmd_extract(args):
     out.mkdir(parents=True, exist_ok=True)
     for path in wavs:
         samples, fs = read_wav(path)
-        if fs != args.fs:
-            raise ConfigError(f"{path} is sampled at {fs} Hz, expected {args.fs}")
+        if fs != acoustics.FS:
+            raise ConfigError(f"{path} is sampled at {fs} Hz, expected {acoustics.FS}")
         feat = acoustics.analyze(samples, fs, utt_id=path.stem)
         write_features(feat, out / f"{path.stem}.cvf")
     print(f"extracted {len(wavs)} utterances -> {out}")
@@ -294,7 +288,7 @@ def _cmd_train(args):
     for line in pairing_report(pairs):
         print(f"[pairing] {line}")
     model, curve = train(pairs, _train_config(args))
-    save_model(model, model_out)
+    save_checkpoint(model, model_out)
     if loss_out:
         write_loss_curve(curve, loss_out)
     last = curve[-1]
@@ -307,7 +301,7 @@ def _cmd_train(args):
 
 
 def _convert_dir(args, convert):
-    model = load_model(args.model)
+    model = load_checkpoint(args.model)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = _feature_files(args.features_dir, "features")
@@ -329,35 +323,27 @@ def _cmd_enhance(args):
 
 
 def _cmd_synth(args):
-    if args.fs != acoustics.FS:
-        raise ConfigError(f"unsupported fs {args.fs}; the synthesizer runs at {acoustics.FS} Hz")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = _feature_files(args.features_dir, "features")
     for path in paths:
         feat = read_features(path)
-        wav = acoustics.synthesize(feat, args.fs)
-        write_wav(out / f"{path.stem}.wav", wav.clip(-1.0, 1.0), args.fs)
+        wav = acoustics.synthesize(feat, acoustics.FS)
+        write_wav(out / f"{path.stem}.wav", wav.clip(-1.0, 1.0), acoustics.FS)
     print(f"synthesized {len(paths)} utterances -> {out}")
     return 0
 
 
-def _scenario_assets(args, needed):
-    features = {}
-    paths = {}
-    for role in needed:
-        directory = getattr(args, f"{role}_dir")
-        if not directory:
-            raise ConfigError(f"scenario {args.name!r} requires --{role}-dir")
-        files = _feature_files(directory, role)
-        features[role] = [read_features(p) for p in files]
-        paths[role] = {p.stem: p for p in files}
-    return ScenarioAssets(features=features, paths=paths)
-
-
 def _cmd_scenario(args):
-    train_role, test_role = SCENARIOS[args.name]
-    assets = _scenario_assets(args, {test_role})
+    _, role = SCENARIOS[args.name]
+    directory = getattr(args, f"{role}_dir")
+    if not directory:
+        raise ConfigError(f"scenario {args.name!r} requires --{role}-dir")
+    files = _feature_files(directory, role)
+    assets = ScenarioAssets(
+        features={role: [read_features(p) for p in files]},
+        paths={role: {p.stem: p for p in files}},
+    )
     rows = run_scenario(args.name, assets, args.out_dir)
     print(f"scenario {args.name}: {len(rows)} waveforms -> {args.out_dir}")
     return 0

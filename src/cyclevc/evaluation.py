@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, PairingError, ShapeError
-from .features import MAX_FRAME_MISMATCH, MCEP_DIM
+from .features import MAX_FRAME_MISMATCH, MCEP_DIM, atomic_open
 
 MCD_COEF = 10.0 * np.sqrt(2.0) / np.log(10.0)
 
@@ -150,7 +150,7 @@ def write_plane_tsv(result, path):
     for label, (x, y) in zip(result.labels, result.coords):
         lines.append(f"{label}\t{x:.3f}\t{y:.3f}")
     lines.append(f"# stress\t{result.stress:.6f}")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -210,5 +210,5 @@ def write_plane_svg(result, path):
         f"edge labels: set MCD (dB); stress {result.stress:.6f}</text>"
     )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")

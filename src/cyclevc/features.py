@@ -21,15 +21,15 @@ import numpy as np
 from .errors import FormatError, InputError, ShapeError
 
 MCEP_DIM = 45
-N_DIMS = 50
-FRAME_SHIFT_MS = 5
-FRAME_SHIFT_US = 5000
 CAP_DIM = 3
+FRAME_SHIFT_MS = 5
+FRAME_SHIFT_US = FRAME_SHIFT_MS * 1000
 
-MCEP_SLICE = slice(0, 45)
-LF0_INDEX = 45
-UV_INDEX = 46
-CAP_SLICE = slice(47, 50)
+MCEP_SLICE = slice(0, MCEP_DIM)
+LF0_INDEX = MCEP_DIM
+UV_INDEX = LF0_INDEX + 1
+CAP_SLICE = slice(UV_INDEX + 1, UV_INDEX + 1 + CAP_DIM)
+N_DIMS = CAP_SLICE.stop  # 50
 
 _MAGIC = b"CVF1"
 _VERSION = 1
@@ -150,6 +150,8 @@ def read_features(path, utt_id=None):
         raise FormatError(f"{path}: frame_shift_us is {shift_us}, expected {FRAME_SHIFT_US}")
     if reserved != 0:
         raise FormatError(f"{path}: reserved field is {reserved}, expected 0")
+    if n_frames == 0:
+        raise FormatError(f"{path}: header declares 0 frames")
     body = raw[_HEADER.size:]
     expect = n_frames * N_DIMS * 4
     if len(body) != expect:
@@ -221,19 +223,22 @@ def write_manifest(records, path):
 def read_manifest(path):
     """Read a pairing manifest; relative paths resolve against the manifest dir."""
     base = os.path.dirname(os.path.abspath(str(path)))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: manifest is not valid UTF-8") from exc
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise FormatError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
-            utt_id, natural, synthetic = parts
-            if not os.path.isabs(natural):
-                natural = os.path.join(base, natural)
-            if not os.path.isabs(synthetic):
-                synthetic = os.path.join(base, synthetic)
-            records.append((utt_id, natural, synthetic))
+    for lineno, line in enumerate(lines, 1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise FormatError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
+        utt_id, natural, synthetic = parts
+        if not os.path.isabs(natural):
+            natural = os.path.join(base, natural)
+        if not os.path.isabs(synthetic):
+            synthetic = os.path.join(base, synthetic)
+        records.append((utt_id, natural, synthetic))
     return records

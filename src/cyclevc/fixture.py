@@ -6,10 +6,9 @@ bursts (band-shaped noise), and short pauses, with a declining F0 contour
 and per-syllable accents. The corpus is seeded, so repeated generation is
 byte-identical; it exists to exercise the full pipeline, not to sound human.
 
-Run `python -m cyclevc.fixture --out-dir corpus` to write the WAV files.
+`cyclevc fixture --out-dir corpus` writes the WAV files.
 """
 
-import argparse
 from pathlib import Path
 
 import numpy as np
@@ -115,17 +114,3 @@ def make_corpus(out_dir, n_utterances=DEFAULT_UTTERANCES, seed=DEFAULT_SEED):
         paths.append(path)
     return paths
 
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description="Generate the demo corpus.")
-    parser.add_argument("--out-dir", required=True, help="directory for WAV files")
-    parser.add_argument("--count", type=int, default=DEFAULT_UTTERANCES)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    args = parser.parse_args(argv)
-    paths = make_corpus(args.out_dir, n_utterances=args.count, seed=args.seed)
-    print(f"wrote {len(paths)} utterances to {args.out_dir}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -20,6 +20,7 @@ including the feedback path from each frame's output into the next frame's
 GRU input.
 """
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,18 +49,13 @@ class ModelArch:
     out_conv_layers: int = 2
 
     def __post_init__(self):
-        for name in (
-            "in_dim",
-            "out_dim",
-            "in_conv_layers",
-            "conv_channels",
-            "kernel",
-            "gru_hidden",
-            "out_conv_layers",
-        ):
+        for name in _ARCH_FIELDS:
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+
+
+_ARCH_FIELDS = tuple(f.name for f in dataclasses.fields(ModelArch))
 
 
 def param_shapes(arch):
@@ -83,11 +79,6 @@ def param_shapes(arch):
             shapes[f"{net}.out{layer}.b"] = (cout,)
             cin = cout
     return shapes
-
-
-def param_order(arch):
-    """Canonical parameter ordering used by the checkpoint blob."""
-    return list(param_shapes(arch))
 
 
 @dataclass
@@ -120,9 +111,6 @@ class CycleVCModel:
     @property
     def n_parameters(self):
         return sum(p.size for p in self.params.values())
-
-    def zero_like_params(self):
-        return {k: np.zeros_like(v) for k, v in self.params.items()}
 
 
 def _validate_seq(x, dim, what):
@@ -471,17 +459,6 @@ def loss_gradients(model, x_norm, y_norm, rho=RHO_DEFAULT, teacher_forcing=False
 
 # ----- checkpoint I/O -------------------------------------------------------
 
-_ARCH_FIELDS = (
-    "in_dim",
-    "out_dim",
-    "in_conv_layers",
-    "conv_channels",
-    "kernel",
-    "gru_hidden",
-    "out_conv_layers",
-)
-
-
 def _format_vector(vec):
     return " ".join(repr(float(v)) for v in vec)
 
@@ -510,7 +487,7 @@ def save_checkpoint(model, path):
     lines.append(f"param_count={model.n_parameters}")
     header = "\n".join(lines) + "\n\n"
     blob = np.concatenate(
-        [model.params[name].ravel() for name in param_order(model.arch)]
+        [model.params[name].ravel() for name in param_shapes(model.arch)]
     ).astype("<f4")
     with atomic_open(path, "wb") as fh:
         fh.write(header.encode("utf-8"))
@@ -541,7 +518,7 @@ def load_checkpoint(path):
         raise FormatError(f"checkpoint header missing fields: {', '.join(missing)}")
     try:
         arch = ModelArch(**{k: int(fields[k]) for k in _ARCH_FIELDS})
-    except ValueError as exc:
+    except (ValueError, ConfigError) as exc:
         raise FormatError(f"checkpoint header: bad architecture field ({exc})") from exc
     norm_src = NormStats(
         mean=_parse_vector(fields["src_mean"], "src_mean"),

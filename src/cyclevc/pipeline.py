@@ -13,12 +13,13 @@ Two uses of the trained converter pair:
 Both replace only the mel-cepstra; prosody (lf0, voicing, aperiodicity)
 passes through untouched.
 
-A scenario picks which features a vocoder backend would train on and which
-it renders at test time: natural/natural, natural/synthetic (acoustic
+A scenario names which features a vocoder would train on and which it
+renders at test time: natural/natural, natural/synthetic (acoustic
 mismatch), synthetic/synthetic (temporal mismatch), pseudo/enhanced (the
-post-filter pairing). The shipped backend is the deterministic source-filter
-resynthesizer, which needs no training; the interface still carries the
-training material so learned vocoders can slot in.
+post-filter pairing). The waveforms come from the deterministic
+source-filter resynthesizer, which needs no training, so only the test role
+is rendered; the training role is recorded for the learned vocoder the
+pairing is meant for.
 """
 
 from contextlib import contextmanager
@@ -31,9 +32,9 @@ from . import acoustics
 from .degrade import DegradeConfig, simulate_tts
 from .errors import ConfigError, CycleVCError, InputError
 from .evaluation import mcd_plane, mcd_set, write_plane_svg, write_plane_tsv
-from .features import denormalize_mcep, normalize, write_features, write_manifest
-from .model import cycle_path, stot_forward
-from .training import TrainConfig, pair_dataset, save_model, train, write_loss_curve
+from .features import atomic_open, denormalize_mcep, normalize, write_features, write_manifest
+from .model import cycle_path, save_checkpoint, stot_forward
+from .training import TrainConfig, pair_dataset, train, write_loss_curve
 from .wavio import read_wav, write_wav
 
 
@@ -53,30 +54,6 @@ def enhance(model, source_feat):
     return source_feat.with_mcep(mcep)
 
 
-class VocoderBackend:
-    """Turns features into waveforms; `train` consumes training material."""
-
-    name = "abstract"
-    trainable = False
-
-    def train(self, pairs):
-        """Train on (features, waveform) pairs; no-op for fixed backends."""
-        return self
-
-    def generate(self, feat, fs):
-        raise NotImplementedError
-
-
-class ResynthesisBackend(VocoderBackend):
-    """Deterministic source-filter resynthesis; needs no training."""
-
-    name = "resynthesis"
-    trainable = False
-
-    def generate(self, feat, fs):
-        return acoustics.synthesize(feat, fs)
-
-
 # scenario -> (training role, test role)
 SCENARIOS = {
     "natural": ("natural", "natural"),
@@ -92,7 +69,6 @@ class ScenarioAssets:
 
     features: dict  # role -> list[UtteranceFeatures]
     paths: dict = field(default_factory=dict)  # role -> {utt_id: path}
-    train_waveforms: dict = field(default_factory=dict)  # utt_id -> waveform
 
     def role(self, name, scenario):
         feats = self.features.get(name)
@@ -114,7 +90,7 @@ def _display_path(path, base):
     return str(path)
 
 
-def run_scenario(scenario, assets, out_dir, backend=None, fs=acoustics.FS, path_base=None):
+def run_scenario(scenario, assets, out_dir, path_base=None):
     """Render one scenario's test set; returns the manifest row list.
 
     Writes `<out_dir>/<utt_id>.wav` per utterance plus `<out_dir>/manifest.tsv`
@@ -125,33 +101,17 @@ def run_scenario(scenario, assets, out_dir, backend=None, fs=acoustics.FS, path_
     if scenario not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
         raise ConfigError(f"unknown scenario {scenario!r}; expected one of: {known}")
-    backend = backend or ResynthesisBackend()
-    train_role, test_role = SCENARIOS[scenario]
+    _, test_role = SCENARIOS[scenario]
     test_feats = assets.role(test_role, scenario)
-    if backend.trainable:
-        train_feats = assets.role(train_role, scenario)
-        waveforms = [assets.train_waveforms.get(f.utt_id) for f in train_feats]
-        if any(w is None for w in waveforms):
-            raise InputError(
-                f"scenario {scenario!r}: trainable backend needs waveforms "
-                f"for every {train_role!r} utterance"
-            )
-        backend.train(list(zip(train_feats, waveforms)))
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     feature_paths = assets.paths.get(test_role, {})
     rows = []
     for feat in sorted(test_feats, key=lambda f: f.utt_id):
-        wav = backend.generate(feat, fs)
-        expected = feat.n_frames * acoustics.HOP
-        if abs(len(wav) - expected) > acoustics.HOP:
-            raise ConfigError(
-                f"backend {backend.name!r} returned {len(wav)} samples for "
-                f"{feat.utt_id!r}, expected about {expected}"
-            )
+        wav = acoustics.synthesize(feat, acoustics.FS)
         wav_path = out_dir / f"{feat.utt_id}.wav"
-        write_wav(wav_path, np.clip(wav, -1.0, 1.0), fs)
+        write_wav(wav_path, np.clip(wav, -1.0, 1.0), acoustics.FS)
         rows.append(
             (
                 feat.utt_id,
@@ -160,8 +120,7 @@ def run_scenario(scenario, assets, out_dir, backend=None, fs=acoustics.FS, path_
                 _display_path(wav_path, path_base),
             )
         )
-    manifest_path = out_dir / "manifest.tsv"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
+    with atomic_open(out_dir / "manifest.tsv", "w", encoding="utf-8") as fh:
         fh.write("utt_id\tscenario\tfeatures\twaveform\n")
         for row in rows:
             fh.write("\t".join(row) + "\n")
@@ -248,17 +207,11 @@ def write_report(summary, train_config, degrade_config, path):
         lines.append(
             f"ordering mcd_{small} < mcd_{big}: {verdict} (margin {margin:.6f} dB)"
         )
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def run_end_to_end(
-    wav_dir,
-    work_dir,
-    train_config=None,
-    degrade_config=None,
-    fs=acoustics.FS,
-):
+def run_end_to_end(wav_dir, work_dir, train_config=None, degrade_config=None):
     """Full demonstration pipeline on a directory of WAV files.
 
     Extracts natural features, simulates degraded synthetic counterparts,
@@ -286,8 +239,8 @@ def run_end_to_end(
     for path in wav_paths:
         with _stage("extract"):
             samples, file_fs = read_wav(path)
-            if file_fs != fs:
-                raise ConfigError(f"{path} is sampled at {file_fs} Hz, expected {fs}")
+            if file_fs != acoustics.FS:
+                raise ConfigError(f"{path} is sampled at {file_fs} Hz, expected {acoustics.FS}")
             feat = acoustics.analyze(samples, file_fs, utt_id=path.stem)
             natural[feat.utt_id] = feat
             write_features(feat, dirs["natural"] / f"{feat.utt_id}.cvf")
@@ -313,7 +266,7 @@ def run_end_to_end(
         pairs = pair_dataset(manifest_path)
         model, curve = train(pairs, train_config)
         model_path = work / "model.ckpt"
-        save_model(model, model_path)
+        save_checkpoint(model, model_path)
         write_loss_curve(curve, work / "loss.tsv")
 
     pseudo = {}

@@ -2,8 +2,8 @@
 
 Covers the all-pass frequency warp, a warped-cepstrum codec (log spectral
 envelope <-> truncated cepstrum on the warped axis), a YIN-style period
-estimator that runs on a block of frames at once, and narrowband sinusoid
-probing used for harmonic amplitude measurement.
+estimator that runs on a block of frames at once, and a moving average.
+The harmonic probes themselves live in the analyzer (`acoustics._probe`).
 """
 
 import numpy as np
@@ -145,36 +145,6 @@ def yin_periods(frames, fs, fmin, fmax, integration, threshold=0.15):
 
     silent = pow0 < 1e-14
     return np.where(silent, 0.0, fs / period), np.where(silent, 1.0, dip)
-
-
-def yin_period(segment, fs, fmin, fmax, integration, threshold=0.15):
-    """YIN-style period estimate for one frame: yin_periods on a single row.
-
-    `segment` is zero-padded to integration + round(fs/fmin) samples when
-    short. Returns (f0 in Hz or 0.0, dip) as floats.
-    """
-    need = integration + int(round(fs / fmin))
-    x = np.zeros((1, need))
-    seg = np.asarray(segment, dtype=np.float64)[:need]
-    x[0, : len(seg)] = seg
-    f0, dip = yin_periods(x, fs, fmin, fmax, integration, threshold)
-    return float(f0[0]), float(dip[0])
-
-
-def probe_amplitudes(segment, window, freqs_hz, fs):
-    """Cosine-component amplitudes of `segment` at the given frequencies.
-
-    Uses windowed DFT probes normalized by the window's mainlobe gain
-    (2 / sum(window)); accurate when components are separated by at least
-    the window's mainlobe width.
-    """
-    freqs_hz = np.asarray(freqs_hz, dtype=np.float64)
-    if len(freqs_hz) == 0:
-        return np.zeros(0)
-    wx = np.asarray(segment, dtype=np.float64) * window
-    n = np.arange(len(wx), dtype=np.float64)
-    phase = np.exp(np.outer(freqs_hz, n) * (-2j * np.pi / fs))
-    return np.abs(phase @ wx) * (2.0 / window.sum())
 
 
 def box_smooth(values, half_width):

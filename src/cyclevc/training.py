@@ -17,6 +17,7 @@ from .errors import ConfigError, InputError, PairingError, TrainingError
 from .features import (
     MAX_FRAME_MISMATCH,
     UtteranceFeatures,
+    atomic_open,
     compute_norm_stats,
     normalize,
     read_features,
@@ -27,9 +28,7 @@ from .model import (
     CycleVCModel,
     LossBreakdown,
     ModelArch,
-    load_checkpoint,
     loss_gradients,
-    save_checkpoint,
 )
 
 LR_DEFAULT = 1e-4
@@ -42,7 +41,6 @@ class TrainConfig:
     rho: float = RHO_DEFAULT
     learning_rate: float = LR_DEFAULT
     seed: int = 7
-    optimizer: str = "adam"
     teacher_forcing: bool = False
     arch: ModelArch = field(default_factory=ModelArch)
 
@@ -53,8 +51,6 @@ class TrainConfig:
             raise ConfigError("rho must be non-negative")
         if not self.learning_rate > 0:
             raise ConfigError("learning_rate must be positive")
-        if self.optimizer != "adam":
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 
 
 @dataclass(frozen=True)
@@ -224,13 +220,5 @@ def write_loss_curve(curve, path):
         lines.append(
             f"{epoch}\t{breakdown.stot_l1:.9g}\t{breakdown.cycle_l1:.9g}\t{breakdown.total:.9g}"
         )
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def save_model(model, path):
-    save_checkpoint(model, path)
-
-
-def load_model(path):
-    return load_checkpoint(path)

@@ -9,6 +9,7 @@ import wave
 import numpy as np
 
 from .errors import FormatError, InputError
+from .features import atomic_open
 
 _PCM_SCALE = 32767.0
 
@@ -19,7 +20,7 @@ def write_wav(path, x, fs):
     if x.ndim != 1:
         raise InputError(f"expected mono waveform, got shape {x.shape}")
     pcm = np.clip(np.round(x * _PCM_SCALE), -32768, 32767).astype("<i2")
-    with wave.open(str(path), "wb") as w:
+    with atomic_open(path, "wb") as fh, wave.open(fh, "wb") as w:
         w.setnchannels(1)
         w.setsampwidth(2)
         w.setframerate(int(fs))

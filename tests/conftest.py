@@ -20,6 +20,22 @@ def make_features(utt_id, n_frames, rng=None, voiced=True):
     return UtteranceFeatures(utt_id=utt_id, mcep=mcep, lf0=lf0, uv=uv, cap=cap)
 
 
+def probe_amplitudes(segment, window, freqs_hz, fs):
+    """Cosine-component amplitudes of `segment` at the given frequencies.
+
+    Direct windowed DFT probes normalized by the window's mainlobe gain
+    (2 / sum(window)): the reference the analyzer's one-pass probe is
+    checked against.
+    """
+    freqs_hz = np.asarray(freqs_hz, dtype=np.float64)
+    if len(freqs_hz) == 0:
+        return np.zeros(0)
+    wx = np.asarray(segment, dtype=np.float64) * window
+    n = np.arange(len(wx), dtype=np.float64)
+    phase = np.exp(np.outer(freqs_hz, n) * (-2j * np.pi / fs))
+    return np.abs(phase @ wx) * (2.0 / window.sum())
+
+
 def unit_norms():
     """Normalization stats that make normalize/denormalize the identity."""
     zeros = np.zeros(N_DIMS)

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from conftest import make_features
+from conftest import make_features, probe_amplitudes
 from cyclevc.acoustics import FS, HOP, _probe, analyze, synthesize
 from cyclevc.errors import ConfigError, InputError
 from cyclevc.evaluation import mcd_frame
-from cyclevc.sigproc import probe_amplitudes
 
 
 def _sawtooth(freq, seconds, amp=0.3):

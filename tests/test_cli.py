@@ -1,11 +1,13 @@
 """Command-line behaviour: exit codes, config files, and the full tool chain."""
 
+import numpy as np
 import pytest
 
 from conftest import write_non_finite_checkpoint
 from cyclevc import cli
 from cyclevc.errors import TrainingError
 from cyclevc.features import read_features
+from cyclevc.wavio import write_wav
 
 
 @pytest.fixture(scope="module")
@@ -73,11 +75,10 @@ def test_missing_file_is_exit_one(tmp_path, capsys):
 
 
 def test_wrong_sample_rate_is_exit_one(tmp_path, capsys):
-    rc = cli.main(
-        ["extract", "--wav-dir", str(tmp_path), "--out-dir", str(tmp_path), "--fs", "16000"]
-    )
+    write_wav(tmp_path / "narrow.wav", np.zeros(16000), 16000)
+    rc = cli.main(["extract", "--wav-dir", str(tmp_path), "--out-dir", str(tmp_path / "o")])
     assert rc == 1
-    assert "unsupported fs 16000" in capsys.readouterr().err
+    assert "sampled at 16000 Hz" in capsys.readouterr().err
 
 
 def test_enhance_with_a_non_finite_checkpoint_is_exit_one(tmp_path, capsys):
@@ -195,7 +196,41 @@ def test_malformed_config_line_is_exit_one(tmp_path, capsys):
     assert "expected key=value" in capsys.readouterr().err
 
 
+def test_non_utf8_config_file_is_exit_one(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_bytes(b"noise-std = 0.01 # \xff\xfe\n")
+    rc = cli.main(
+        ["simulate", "--config", str(cfg), "--features-dir", "x", "--out", "y"]
+    )
+    assert rc == 1
+    assert "cannot read config file" in capsys.readouterr().err
+
+
 # ----- command-specific validation ------------------------------------------------------
+
+
+def test_non_utf8_manifest_is_exit_one(tmp_path, capsys):
+    manifest = tmp_path / "m.tsv"
+    manifest.write_bytes(b"u\t\xffnat.cvf\tsyn.cvf\n")
+    rc = cli.main(["train", "--manifest", str(manifest), "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert "not valid UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["mcd", "synth"])
+def test_zero_frame_feature_file_is_exit_one(tmp_path, capsys, command):
+    import struct
+
+    feats = tmp_path / "feats"
+    feats.mkdir()
+    (feats / "u.cvf").write_bytes(struct.pack("<4sIIIII", b"CVF1", 1, 0, 50, 5000, 0))
+    if command == "mcd":
+        argv = ["mcd", "--set-a", str(feats), "--set-b", str(feats)]
+    else:
+        argv = ["synth", "--features-dir", str(feats), "--out-dir", str(tmp_path / "wav")]
+    rc = cli.main(argv)
+    assert rc == 1
+    assert "declares 0 frames" in capsys.readouterr().err
 
 
 def test_train_requires_an_output_destination(tmp_path, capsys):

@@ -211,6 +211,13 @@ def test_header_body_frame_count_mismatch_is_a_truncation_error(tmp_path):
         read_features(path)
 
 
+def test_zero_frame_file_is_a_format_error(tmp_path):
+    path = tmp_path / "empty.cvf"
+    path.write_bytes(_valid_file_bytes(n_frames=0))
+    with pytest.raises(FormatError, match="0 frames"):
+        read_features(path)
+
+
 # ----- normalization --------------------------------------------------------
 
 
@@ -318,6 +325,13 @@ def test_manifest_malformed_line_reports_line_number(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("u1\ta\tb\nu2\tonly-two-fields\n", encoding="utf-8")
     with pytest.raises(FormatError, match="2"):
+        read_manifest(path)
+
+
+def test_non_utf8_manifest_is_a_format_error(tmp_path):
+    path = tmp_path / "pairs.tsv"
+    path.write_bytes(b"u1\ta\tb\nu2\t\xff\xfe\tb\n")
+    with pytest.raises(FormatError, match="UTF-8"):
         read_manifest(path)
 
 

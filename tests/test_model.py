@@ -16,7 +16,6 @@ from cyclevc.model import (
     cycle_path,
     load_checkpoint,
     loss_gradients,
-    param_order,
     param_shapes,
     save_checkpoint,
     splice_prosody,
@@ -48,7 +47,7 @@ def test_param_shapes_match_a_hand_layout():
         expected[f"{net}.out0.W"] = (45, 2 * 5)
         expected[f"{net}.out0.b"] = (45,)
     assert shapes == expected
-    assert param_order(tiny_arch()) == list(expected)
+    assert list(shapes) == list(expected)
 
 
 def test_tiny_parameter_count_matches_hand_arithmetic():
@@ -436,6 +435,13 @@ def test_checkpoint_with_missing_field_is_rejected(tmp_path):
 def test_checkpoint_with_bad_architecture_field_is_rejected(tmp_path):
     path = _saved(tmp_path)
     _edit_header(path, "gru_hidden=5", "gru_hidden=five")
+    with pytest.raises(FormatError, match="bad architecture field"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_non_positive_architecture_field_is_rejected(tmp_path):
+    path = _saved(tmp_path)
+    _edit_header(path, "gru_hidden=5", "gru_hidden=0")
     with pytest.raises(FormatError, match="bad architecture field"):
         load_checkpoint(path)
 

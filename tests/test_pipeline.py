@@ -1,5 +1,7 @@
 """Post-filter paths, scenario rendering, and the end-to-end pipeline."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from cyclevc.features import read_features
 from cyclevc.pipeline import (
     SCENARIOS,
     ScenarioAssets,
-    VocoderBackend,
     enhance,
     generate_pseudo,
     run_end_to_end,
@@ -21,24 +22,6 @@ from cyclevc.pipeline import (
 )
 from cyclevc.training import TrainConfig
 from cyclevc.wavio import write_wav
-
-
-class RecordingBackend(VocoderBackend):
-    """Trainable test double that records its training material."""
-
-    name = "recording"
-    trainable = True
-
-    def __init__(self, extra_samples=0):
-        self.trained_with = None
-        self.extra_samples = extra_samples
-
-    def train(self, pairs):
-        self.trained_with = pairs
-        return self
-
-    def generate(self, feat, fs):
-        return np.zeros(feat.n_frames * acoustics.HOP + self.extra_samples)
 
 
 # ----- feature post-filtering ------------------------------------------------------
@@ -133,39 +116,7 @@ def test_unknown_scenario_lists_the_valid_names(tmp_path):
 def test_scenario_with_missing_role_names_both(tmp_path):
     assets = ScenarioAssets(features={"pseudo": [make_features("x", 5)]})
     with pytest.raises(ConfigError, match="'post-filter' needs 'enhanced'"):
-        run_scenario("post-filter", assets, tmp_path, backend=RecordingBackend())
-
-
-def test_trainable_backend_receives_feature_waveform_pairs(tmp_path):
-    pseudo = [make_features("x", 5)]
-    enhanced = [make_features("x", 6)]
-    wave = np.zeros(600)
-    assets = ScenarioAssets(
-        features={"pseudo": pseudo, "enhanced": enhanced},
-        train_waveforms={"x": wave},
-    )
-    backend = RecordingBackend()
-    run_scenario("post-filter", assets, tmp_path / "pf", backend=backend)
-    assert len(backend.trained_with) == 1
-    feat, wav = backend.trained_with[0]
-    assert feat is pseudo[0]
-    assert wav is wave
-
-
-def test_trainable_backend_without_waveforms_is_rejected(tmp_path):
-    assets = ScenarioAssets(
-        features={"pseudo": [make_features("x", 5)], "enhanced": [make_features("x", 5)]}
-    )
-    with pytest.raises(InputError, match="needs waveforms"):
-        run_scenario("post-filter", assets, tmp_path, backend=RecordingBackend())
-
-
-def test_backend_returning_wrong_duration_is_rejected(tmp_path):
-    assets = ScenarioAssets(features={"natural": [make_features("x", 5)]})
-    backend = RecordingBackend(extra_samples=acoustics.HOP + 1)
-    backend.trainable = False
-    with pytest.raises(ConfigError, match="expected about"):
-        run_scenario("natural", assets, tmp_path, backend=backend)
+        run_scenario("post-filter", assets, tmp_path)
 
 
 # ----- train/test split ---------------------------------------------------------------
@@ -247,6 +198,24 @@ def test_report_marks_failed_orderings(tmp_path):
         "ordering mcd_enhanced_natural < mcd_synthetic_natural: FAIL (margin -0.400000 dB)"
         in text
     )
+
+
+def test_failed_wav_and_report_writes_keep_the_old_files(tmp_path, monkeypatch):
+    wav, report = tmp_path / "u.wav", tmp_path / "report.txt"
+    write_wav(wav, np.zeros(240), acoustics.FS)
+    write_report(_summary(), TrainConfig(), DegradeConfig(), report)
+    before = wav.read_bytes(), report.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        write_wav(wav, np.full(480, 0.5), acoustics.FS)
+    with pytest.raises(OSError, match="disk full"):
+        write_report(_summary(), TrainConfig(epochs=3), DegradeConfig(), report)
+    assert (wav.read_bytes(), report.read_bytes()) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.txt", "u.wav"]
 
 
 # ----- end to end ----------------------------------------------------------------------

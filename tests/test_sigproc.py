@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from conftest import probe_amplitudes
 from cyclevc.sigproc import (
     WarpedCepstrumCodec,
     box_smooth,
     hann_periodic,
-    probe_amplitudes,
     warp_frequency,
-    yin_period,
+    yin_periods,
 )
 
 FS = 24000
@@ -104,10 +104,15 @@ def test_periodic_hann_overlap_adds_to_a_constant():
 # ----- period estimation -------------------------------------------------------
 
 
+def _yin_one_row(x):
+    f0, dip = yin_periods(x[None, :], FS, fmin=60.0, fmax=400.0, integration=480)
+    return f0[0], dip[0]
+
+
 def test_yin_recovers_a_pure_tone_period():
     t = np.arange(2000) / FS
     x = 0.4 * np.sin(2.0 * np.pi * 220.0 * t)
-    f0, dip = yin_period(x, FS, fmin=60.0, fmax=400.0, integration=480)
+    f0, dip = _yin_one_row(x)
     assert f0 == pytest.approx(220.0, rel=5e-3)
     assert dip < 0.05
 
@@ -115,20 +120,20 @@ def test_yin_recovers_a_pure_tone_period():
 def test_yin_recovers_a_low_pitch_near_the_search_floor():
     t = np.arange(2000) / FS
     x = 0.4 * np.sin(2.0 * np.pi * 70.0 * t)
-    f0, dip = yin_period(x, FS, fmin=60.0, fmax=400.0, integration=480)
+    f0, dip = _yin_one_row(x)
     assert f0 == pytest.approx(70.0, rel=1e-2)
     assert dip < 0.1
 
 
 def test_yin_reports_no_periodicity_for_silence():
-    f0, dip = yin_period(np.zeros(2000), FS, fmin=60.0, fmax=400.0, integration=480)
+    f0, dip = _yin_one_row(np.zeros(2000))
     assert f0 == 0.0
     assert dip == 1.0
 
 
 def test_yin_gives_a_weak_dip_on_white_noise(rng):
     x = rng.standard_normal(2000)
-    _, dip = yin_period(x, FS, fmin=60.0, fmax=400.0, integration=480)
+    _, dip = _yin_one_row(x)
     assert dip > 0.3
 
 
