@@ -12,37 +12,45 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import acoustics, degrade, fixture
+from . import fixture
+from .degrade import DegradeConfig, simulate_tts
 from .errors import ConfigError, CycleVCError, InputError
-from .evaluation import mcd_plane, mcd_set, write_plane_svg, write_plane_tsv
-from .features import read_features, write_features, write_manifest
-from .model import RHO_DEFAULT, load_checkpoint, save_checkpoint
+from .evaluation import ROLES, mcd_plane, mcd_set, write_plane_svg, write_plane_tsv
+from .features import read_features, write_manifest
+from .model import load_checkpoint, save_checkpoint
 from .pipeline import (
     END_TO_END_STAGES,
     SCENARIOS,
     ScenarioAssets,
+    config_fields,
+    convert_all,
     enhance,
+    extract,
     generate_pseudo,
+    render,
     run_end_to_end,
     run_scenario,
 )
-from .training import (
-    EPOCHS_DEFAULT,
-    LR_DEFAULT,
-    TrainConfig,
-    pair_dataset,
-    pairing_report,
-    train,
-    write_loss_curve,
-)
-from .wavio import read_wav, write_wav
-
-_ROLES = ("natural", "synthetic", "pseudo", "enhanced")
+from .training import TrainConfig, pair_dataset, pairing_report, train, write_loss_curve
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
+
+
+def _add_config_options(parser, config_cls):
+    """One option per scalar field of a config dataclass, with its default."""
+    for f in config_fields(config_cls):
+        flag = "--" + f.name.replace("_", "-")
+        if f.type is bool:
+            parser.add_argument(flag, action="store_true", default=f.default)
+        else:
+            parser.add_argument(flag, type=f.type, default=f.default)
+
+
+def _config(config_cls, args):
+    return config_cls(**{f.name: getattr(args, f.name) for f in config_fields(config_cls)})
 
 
 def _build_parser():
@@ -64,13 +72,7 @@ def _build_parser():
     p = command("simulate", "degrade natural features into synthetic-like ones")
     p.add_argument("--features-dir", required=True)
     p.add_argument("--out-dir", "--out", dest="out_dir", required=True)
-    p.add_argument("--smooth-window", type=int, default=degrade.DegradeConfig.smooth_window)
-    p.add_argument("--variance-scale", type=float, default=degrade.DegradeConfig.variance_scale)
-    p.add_argument(
-        "--lf0-smooth-window", type=int, default=degrade.DegradeConfig.lf0_smooth_window
-    )
-    p.add_argument("--noise-std", type=float, default=degrade.DegradeConfig.noise_std)
-    p.add_argument("--seed", type=int, default=degrade.DEFAULT_SEED)
+    _add_config_options(p, DegradeConfig)
 
     p = command("manifest", "pair natural and synthetic feature dirs by stem")
     p.add_argument("--natural-dir", required=True)
@@ -82,11 +84,7 @@ def _build_parser():
     p.add_argument("--out-dir", "--out", dest="out_dir")
     p.add_argument("--model-out")
     p.add_argument("--loss-out")
-    p.add_argument("--epochs", type=int, default=EPOCHS_DEFAULT)
-    p.add_argument("--rho", type=float, default=RHO_DEFAULT)
-    p.add_argument("--learning-rate", type=float, default=LR_DEFAULT)
-    p.add_argument("--seed", type=int, default=TrainConfig.seed)
-    p.add_argument("--teacher-forcing", action="store_true")
+    _add_config_options(p, TrainConfig)
 
     p = command("pseudo", "self-convert natural features for vocoder training")
     p.add_argument("--model", required=True)
@@ -104,7 +102,7 @@ def _build_parser():
 
     p = command("scenario", "render one train/test pairing scenario")
     p.add_argument("--name", required=True, choices=sorted(SCENARIOS))
-    for role in _ROLES:
+    for role in ROLES:
         p.add_argument(f"--{role}-dir")
     p.add_argument("--out-dir", "--out", dest="out_dir", required=True)
 
@@ -113,7 +111,7 @@ def _build_parser():
     p.add_argument("--set-b", required=True)
 
     p = command("plane", "embed pairwise set MCDs into a labeled 2-D map")
-    for role in _ROLES:
+    for role in ROLES:
         p.add_argument(f"--{role}-dir")
     p.add_argument("--out-dir", "--out", dest="out_dir")
     p.add_argument("--tsv")
@@ -127,12 +125,8 @@ def _build_parser():
     p = command("end-to-end", "full demo: extract, degrade, train, render, report")
     p.add_argument("--wav-dir", required=True)
     p.add_argument("--work-dir", required=True)
-    p.add_argument("--epochs", type=int, default=EPOCHS_DEFAULT)
-    p.add_argument("--rho", type=float, default=RHO_DEFAULT)
-    p.add_argument("--learning-rate", type=float, default=LR_DEFAULT)
-    p.add_argument("--seed", type=int, default=TrainConfig.seed)
-    p.add_argument("--sim-seed", type=int, default=degrade.DEFAULT_SEED)
-    p.add_argument("--teacher-forcing", action="store_true")
+    _add_config_options(p, TrainConfig)
+    p.add_argument("--sim-seed", type=int, default=DegradeConfig.seed)
     p.add_argument("--dry-run", action="store_true")
 
     return parser, parsers
@@ -220,37 +214,16 @@ def _cmd_extract(args):
     wavs = sorted(Path(args.wav_dir).glob("*.wav"))
     if not wavs:
         raise InputError(f"no WAV files in {args.wav_dir}")
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for path in wavs:
-        samples, fs = read_wav(path)
-        if fs != acoustics.FS:
-            raise ConfigError(f"{path} is sampled at {fs} Hz, expected {acoustics.FS}")
-        feat = acoustics.analyze(samples, fs, utt_id=path.stem)
-        write_features(feat, out / f"{path.stem}.cvf")
-    print(f"extracted {len(wavs)} utterances -> {out}")
+    extract(wavs, args.out_dir)
+    print(f"extracted {len(wavs)} utterances -> {args.out_dir}")
     return 0
 
 
-def _degrade_config(args):
-    return degrade.DegradeConfig(
-        smooth_window=args.smooth_window,
-        variance_scale=args.variance_scale,
-        lf0_smooth_window=args.lf0_smooth_window,
-        noise_std=args.noise_std,
-        seed=args.seed,
-    )
-
-
 def _cmd_simulate(args):
-    config = _degrade_config(args)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = _feature_files(args.features_dir, "features")
-    for path in paths:
-        feat = read_features(path)
-        write_features(degrade.simulate_tts(feat, config), out / path.name)
-    print(f"simulated {len(paths)} utterances -> {out}")
+    config = _config(DegradeConfig, args)
+    feats = _load_set(args.features_dir, "features")
+    convert_all(lambda f: simulate_tts(f, config), feats, args.out_dir)
+    print(f"simulated {len(feats)} utterances -> {args.out_dir}")
     return 0
 
 
@@ -265,16 +238,6 @@ def _cmd_manifest(args):
     return 0
 
 
-def _train_config(args):
-    return TrainConfig(
-        epochs=args.epochs,
-        rho=args.rho,
-        learning_rate=args.learning_rate,
-        seed=args.seed,
-        teacher_forcing=args.teacher_forcing,
-    )
-
-
 def _cmd_train(args):
     if not args.model_out and not args.out_dir:
         raise ConfigError("train needs --model-out or --out-dir")
@@ -287,7 +250,7 @@ def _cmd_train(args):
     pairs = pair_dataset(args.manifest)
     for line in pairing_report(pairs):
         print(f"[pairing] {line}")
-    model, curve = train(pairs, _train_config(args))
+    model, curve = train(pairs, _config(TrainConfig, args))
     save_checkpoint(model, model_out)
     if loss_out:
         write_loss_curve(curve, loss_out)
@@ -302,35 +265,27 @@ def _cmd_train(args):
 
 def _convert_dir(args, convert):
     model = load_checkpoint(args.model)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = _feature_files(args.features_dir, "features")
-    for path in paths:
-        write_features(convert(model, read_features(path)), out / path.name)
-    return len(paths), out
+    feats = _load_set(args.features_dir, "features")
+    convert_all(lambda f: convert(model, f), feats, args.out_dir)
+    return len(feats)
 
 
 def _cmd_pseudo(args):
-    count, out = _convert_dir(args, generate_pseudo)
-    print(f"pseudo features for {count} utterances -> {out}")
+    count = _convert_dir(args, generate_pseudo)
+    print(f"pseudo features for {count} utterances -> {args.out_dir}")
     return 0
 
 
 def _cmd_enhance(args):
-    count, out = _convert_dir(args, enhance)
-    print(f"enhanced features for {count} utterances -> {out}")
+    count = _convert_dir(args, enhance)
+    print(f"enhanced features for {count} utterances -> {args.out_dir}")
     return 0
 
 
 def _cmd_synth(args):
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = _feature_files(args.features_dir, "features")
-    for path in paths:
-        feat = read_features(path)
-        wav = acoustics.synthesize(feat, acoustics.FS)
-        write_wav(out / f"{path.stem}.wav", wav.clip(-1.0, 1.0), acoustics.FS)
-    print(f"synthesized {len(paths)} utterances -> {out}")
+    feats = _load_set(args.features_dir, "features")
+    render(feats, args.out_dir)
+    print(f"synthesized {len(feats)} utterances -> {args.out_dir}")
     return 0
 
 
@@ -357,7 +312,7 @@ def _cmd_mcd(args):
 
 def _cmd_plane(args):
     sets = {}
-    for role in _ROLES:
+    for role in ROLES:
         directory = getattr(args, f"{role}_dir")
         if directory:
             sets[role] = _load_set(directory, role)
@@ -396,8 +351,8 @@ def _cmd_end_to_end(args):
     summary = run_end_to_end(
         args.wav_dir,
         args.work_dir,
-        train_config=_train_config(args),
-        degrade_config=degrade.DegradeConfig(seed=args.sim_seed),
+        train_config=_config(TrainConfig, args),
+        degrade_config=DegradeConfig(seed=args.sim_seed),
     )
     report = Path(summary["report_path"]).read_text(encoding="utf-8")
     for line in report.rstrip("\n").splitlines():

@@ -16,9 +16,6 @@ import numpy as np
 from .errors import ConfigError
 from .features import UtteranceFeatures
 
-DEFAULT_SEED = 7112024  # constant corpus-level seed
-
-
 @dataclass(frozen=True)
 class DegradeConfig:
     """Degradation knobs; the defaults emulate a mid-quality statistical TTS.
@@ -31,7 +28,7 @@ class DegradeConfig:
     variance_scale: float = 0.6
     lf0_smooth_window: int = 5
     noise_std: float = 0.05
-    seed: int = DEFAULT_SEED
+    seed: int = 7112024  # constant corpus-level seed
 
     def __post_init__(self):
         for name in ("smooth_window", "lf0_smooth_window"):

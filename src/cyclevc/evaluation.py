@@ -21,7 +21,8 @@ from .features import MAX_FRAME_MISMATCH, MCEP_DIM, atomic_open
 
 MCD_COEF = 10.0 * np.sqrt(2.0) / np.log(10.0)
 
-PLANE_LABELS = ("natural", "synthetic", "pseudo", "enhanced")
+# the four feature-set roles, in the order the plane and its reports list them
+ROLES = ("natural", "synthetic", "pseudo", "enhanced")
 
 
 def mcd_frame(c_a, c_b):
@@ -122,7 +123,7 @@ def mcd_plane(natural=None, synthetic=None, pseudo=None, enhanced=None):
     """
     provided = [
         (label, feats)
-        for label, feats in zip(PLANE_LABELS, (natural, synthetic, pseudo, enhanced))
+        for label, feats in zip(ROLES, (natural, synthetic, pseudo, enhanced))
         if feats is not None
     ]
     if len(provided) < 2:

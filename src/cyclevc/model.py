@@ -22,6 +22,7 @@ GRU input.
 
 import dataclasses
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import expit
@@ -38,10 +39,11 @@ _NETS = ("f", "g")
 
 @dataclass(frozen=True)
 class ModelArch:
-    """Layer sizes shared by both converters."""
+    """Layer sizes shared by both converters. The feature layout fixes the
+    input and output widths, so they are constants, not checkpoint fields."""
 
-    in_dim: int = N_DIMS
-    out_dim: int = MCEP_DIM
+    in_dim: ClassVar[int] = N_DIMS
+    out_dim: ClassVar[int] = MCEP_DIM
     in_conv_layers: int = 2
     conv_channels: int = 128
     kernel: int = 3

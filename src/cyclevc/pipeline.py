@@ -22,6 +22,7 @@ is rendered; the training role is recorded for the learned vocoder the
 pairing is meant for.
 """
 
+import dataclasses
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,7 +32,7 @@ import numpy as np
 from . import acoustics
 from .degrade import DegradeConfig, simulate_tts
 from .errors import ConfigError, CycleVCError, InputError
-from .evaluation import mcd_plane, mcd_set, write_plane_svg, write_plane_tsv
+from .evaluation import ROLES, mcd_plane, write_plane_svg, write_plane_tsv
 from .features import atomic_open, denormalize_mcep, normalize, write_features, write_manifest
 from .model import cycle_path, save_checkpoint, stot_forward
 from .training import TrainConfig, pair_dataset, train, write_loss_curve
@@ -52,6 +53,51 @@ def enhance(model, source_feat):
     converted = stot_forward(model, x_norm)
     mcep = denormalize_mcep(converted, model.norm_tgt)
     return source_feat.with_mcep(mcep)
+
+
+# ----- stages: each subcommand and run_end_to_end call these ---------------------
+
+
+def extract(wav_paths, out_dir):
+    """Analyze 24 kHz WAVs into `<out_dir>/<stem>.cvf`; returns the features."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    feats = []
+    for path in map(Path, wav_paths):
+        samples, fs = read_wav(path)
+        if fs != acoustics.FS:
+            raise ConfigError(f"{path} is sampled at {fs} Hz, expected {acoustics.FS}")
+        feat = acoustics.analyze(samples, fs, utt_id=path.stem)
+        write_features(feat, out_dir / f"{feat.utt_id}.cvf")
+        feats.append(feat)
+    return feats
+
+
+def convert_all(convert, feats, out_dir):
+    """Write `convert(feat)` to `<out_dir>/<utt_id>.cvf` for each feature in
+    turn (simulate, pseudo, enhance); returns the converted features."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    converted = []
+    for feat in feats:
+        result = convert(feat)
+        write_features(result, out_dir / f"{feat.utt_id}.cvf")
+        converted.append(result)
+    return converted
+
+
+def render(feats, out_dir):
+    """Resynthesize each feature set to `<out_dir>/<utt_id>.wav`, clipped to
+    [-1, 1]; returns the WAV paths."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    wav_paths = []
+    for feat in feats:
+        wav = acoustics.synthesize(feat, acoustics.FS)
+        wav_path = out_dir / f"{feat.utt_id}.wav"
+        write_wav(wav_path, np.clip(wav, -1.0, 1.0), acoustics.FS)
+        wav_paths.append(wav_path)
+    return wav_paths
 
 
 # scenario -> (training role, test role)
@@ -102,25 +148,18 @@ def run_scenario(scenario, assets, out_dir, path_base=None):
         known = ", ".join(sorted(SCENARIOS))
         raise ConfigError(f"unknown scenario {scenario!r}; expected one of: {known}")
     _, test_role = SCENARIOS[scenario]
-    test_feats = assets.role(test_role, scenario)
-
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    test_feats = sorted(assets.role(test_role, scenario), key=lambda f: f.utt_id)
     feature_paths = assets.paths.get(test_role, {})
-    rows = []
-    for feat in sorted(test_feats, key=lambda f: f.utt_id):
-        wav = acoustics.synthesize(feat, acoustics.FS)
-        wav_path = out_dir / f"{feat.utt_id}.wav"
-        write_wav(wav_path, np.clip(wav, -1.0, 1.0), acoustics.FS)
-        rows.append(
-            (
-                feat.utt_id,
-                scenario,
-                _display_path(feature_paths.get(feat.utt_id), path_base),
-                _display_path(wav_path, path_base),
-            )
+    rows = [
+        (
+            feat.utt_id,
+            scenario,
+            _display_path(feature_paths.get(feat.utt_id), path_base),
+            _display_path(wav_path, path_base),
         )
-    with atomic_open(out_dir / "manifest.tsv", "w", encoding="utf-8") as fh:
+        for feat, wav_path in zip(test_feats, render(test_feats, out_dir))
+    ]
+    with atomic_open(Path(out_dir) / "manifest.tsv", "w", encoding="utf-8") as fh:
         fh.write("utt_id\tscenario\tfeatures\twaveform\n")
         for row in rows:
             fh.write("\t".join(row) + "\n")
@@ -150,6 +189,14 @@ END_TO_END_STAGES = (
     "report",
 )
 
+# headline set MCDs, (a, b) -> summary["mcd_a_b"]
+HEADLINE = (
+    ("synthetic", "natural"),
+    ("enhanced", "natural"),
+    ("pseudo", "natural"),
+    ("enhanced", "pseudo"),
+)
+
 ORDERINGS = (
     ("enhanced_natural", "synthetic_natural"),
     ("enhanced_pseudo", "synthetic_natural"),
@@ -165,41 +212,32 @@ def _stage(name):
         raise type(exc)(f"stage {name!r} failed: {exc}") from exc
 
 
+def config_fields(config):
+    """The scalar fields of a config dataclass (class or instance): the CLI
+    options it offers and the settings the report echoes."""
+    return [f for f in dataclasses.fields(config) if f.type in (int, float, bool)]
+
+
+def _config_line(name, config):
+    values = " ".join(f"{f.name}={getattr(config, f.name)}" for f in config_fields(config))
+    return f"{name}: {values}"
+
+
 def write_report(summary, train_config, degrade_config, path):
     """Plain-text run report: config echo, headline MCDs, ordering verdicts.
 
     Contains no filesystem paths, so identical (corpus, config, seed) runs
     produce byte-identical reports regardless of where they were written.
     """
-    lines = ["cycle-vc end-to-end report"]
-    lines.append(
-        "config: epochs={} rho={} learning_rate={} seed={} teacher_forcing={}".format(
-            train_config.epochs,
-            train_config.rho,
-            train_config.learning_rate,
-            train_config.seed,
-            train_config.teacher_forcing,
-        )
-    )
-    lines.append(
-        "degrade: smooth_window={} variance_scale={} lf0_smooth_window={} "
-        "noise_std={} seed={}".format(
-            degrade_config.smooth_window,
-            degrade_config.variance_scale,
-            degrade_config.lf0_smooth_window,
-            degrade_config.noise_std,
-            degrade_config.seed,
-        )
-    )
-    lines.append("train_utterances: " + " ".join(summary["train_ids"]))
-    lines.append("test_utterances: " + " ".join(summary["test_ids"]))
-    for key in (
-        "synthetic_natural",
-        "enhanced_natural",
-        "pseudo_natural",
-        "enhanced_pseudo",
-    ):
-        lines.append(f"mcd_{key}_db: {summary['mcd_' + key]:.6f}")
+    lines = [
+        "cycle-vc end-to-end report",
+        _config_line("config", train_config),
+        _config_line("degrade", degrade_config),
+        "train_utterances: " + " ".join(summary["train_ids"]),
+        "test_utterances: " + " ".join(summary["test_ids"]),
+    ]
+    for a, b in HEADLINE:
+        lines.append(f"mcd_{a}_{b}_db: {summary[f'mcd_{a}_{b}']:.6f}")
     lines.append(f"plane_stress: {summary['stress']:.6f}")
     for small, big in ORDERINGS:
         margin = summary[f"mcd_{big}"] - summary[f"mcd_{small}"]
@@ -227,27 +265,15 @@ def run_end_to_end(wav_dir, work_dir, train_config=None, degrade_config=None):
     if len(wav_paths) < 2:
         raise InputError(f"{wav_dir} holds fewer than two WAV files")
     work = Path(work_dir)
-    dirs = {
-        role: work / "features" / role
-        for role in ("natural", "synthetic", "pseudo", "enhanced")
-    }
-    for d in dirs.values():
-        d.mkdir(parents=True, exist_ok=True)
+    dirs = {role: work / "features" / role for role in ROLES}
 
-    natural = {}
-    synthetic = {}
-    for path in wav_paths:
-        with _stage("extract"):
-            samples, file_fs = read_wav(path)
-            if file_fs != acoustics.FS:
-                raise ConfigError(f"{path} is sampled at {file_fs} Hz, expected {acoustics.FS}")
-            feat = acoustics.analyze(samples, file_fs, utt_id=path.stem)
-            natural[feat.utt_id] = feat
-            write_features(feat, dirs["natural"] / f"{feat.utt_id}.cvf")
-        with _stage("simulate"):
-            degraded = simulate_tts(feat, degrade_config)
-            synthetic[feat.utt_id] = degraded
-            write_features(degraded, dirs["synthetic"] / f"{feat.utt_id}.cvf")
+    with _stage("extract"):
+        natural = {f.utt_id: f for f in extract(wav_paths, dirs["natural"])}
+    with _stage("simulate"):
+        degraded = convert_all(
+            lambda f: simulate_tts(f, degrade_config), natural.values(), dirs["synthetic"]
+        )
+        synthetic = {f.utt_id: f for f in degraded}
 
     with _stage("split"):
         train_ids, test_ids = split_train_test(natural)
@@ -269,22 +295,19 @@ def run_end_to_end(wav_dir, work_dir, train_config=None, degrade_config=None):
         save_checkpoint(model, model_path)
         write_loss_curve(curve, work / "loss.tsv")
 
-    pseudo = {}
-    enhanced = {}
-    for u in test_ids:
-        with _stage("pseudo"):
-            pseudo[u] = generate_pseudo(model, natural[u])
-            write_features(pseudo[u], dirs["pseudo"] / f"{u}.cvf")
-        with _stage("enhance"):
-            enhanced[u] = enhance(model, synthetic[u])
-            write_features(enhanced[u], dirs["enhanced"] / f"{u}.cvf")
-
     test_sets = {
         "natural": [natural[u] for u in test_ids],
         "synthetic": [synthetic[u] for u in test_ids],
-        "pseudo": [pseudo[u] for u in test_ids],
-        "enhanced": [enhanced[u] for u in test_ids],
     }
+    with _stage("pseudo"):
+        test_sets["pseudo"] = convert_all(
+            lambda f: generate_pseudo(model, f), test_sets["natural"], dirs["pseudo"]
+        )
+    with _stage("enhance"):
+        test_sets["enhanced"] = convert_all(
+            lambda f: enhance(model, f), test_sets["synthetic"], dirs["enhanced"]
+        )
+
     with _stage("plane"):
         plane = mcd_plane(**test_sets)
         write_plane_tsv(plane, work / "plane.tsv")
@@ -310,10 +333,10 @@ def run_end_to_end(wav_dir, work_dir, train_config=None, degrade_config=None):
         "test_ids": test_ids,
         "feature_dirs": dirs,
         "plane": plane,
-        "mcd_synthetic_natural": mcd_set(test_sets["synthetic"], test_sets["natural"]),
-        "mcd_enhanced_natural": mcd_set(test_sets["enhanced"], test_sets["natural"]),
-        "mcd_pseudo_natural": mcd_set(test_sets["pseudo"], test_sets["natural"]),
-        "mcd_enhanced_pseudo": mcd_set(test_sets["enhanced"], test_sets["pseudo"]),
+        **{
+            f"mcd_{a}_{b}": float(plane.distances[plane.labels.index(a), plane.labels.index(b)])
+            for a, b in HEADLINE
+        },
         "stress": plane.stress,
     }
     with _stage("report"):

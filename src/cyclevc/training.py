@@ -31,15 +31,12 @@ from .model import (
     loss_gradients,
 )
 
-LR_DEFAULT = 1e-4
-EPOCHS_DEFAULT = 15
-
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = EPOCHS_DEFAULT
+    epochs: int = 15
     rho: float = RHO_DEFAULT
-    learning_rate: float = LR_DEFAULT
+    learning_rate: float = 1e-4
     seed: int = 7
     teacher_forcing: bool = False
     arch: ModelArch = field(default_factory=ModelArch)
@@ -122,33 +119,34 @@ def pairing_report(pairs):
 class AdamOptimizer:
     """Adam with per-parameter state.
 
-    eps sits far below the usual 1e-8: the reverse converter's gradients are
+    EPS sits far below the usual 1e-8: the reverse converter's gradients are
     scaled by the tiny cycle weight, and an eps at or above their RMS would
     cancel the step normalization that makes that term trainable at all.
     """
 
-    def __init__(self, params, learning_rate, beta1=0.9, beta2=0.999, eps=1e-16):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-16
+
+    def __init__(self, params, learning_rate):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, params, grads):
         self.step_count += 1
-        correction1 = 1.0 - self.beta1**self.step_count
-        correction2 = 1.0 - self.beta2**self.step_count
+        correction1 = 1.0 - self.BETA1**self.step_count
+        correction2 = 1.0 - self.BETA2**self.step_count
         for name, p in params.items():
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
+            m += (1.0 - self.BETA1) * (g - m)
+            v += (1.0 - self.BETA2) * (g * g - v)
             m_hat = m / correction1
             v_hat = v / correction2
-            p -= (self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.dtype)
+            p -= (self.learning_rate * m_hat / (np.sqrt(v_hat) + self.EPS)).astype(p.dtype)
 
 
 def train(pairs, config=None):

@@ -49,8 +49,6 @@ def unit_norms():
 def tiny_arch(**overrides):
     """Small architecture for fast structural and gradient tests."""
     kwargs = dict(
-        in_dim=50,
-        out_dim=45,
         in_conv_layers=1,
         conv_channels=6,
         kernel=2,

@@ -1,12 +1,16 @@
 """Command-line behaviour: exit codes, config files, and the full tool chain."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import write_non_finite_checkpoint
 from cyclevc import cli
+from cyclevc.degrade import DegradeConfig
 from cyclevc.errors import TrainingError
 from cyclevc.features import read_features
+from cyclevc.training import TrainConfig
 from cyclevc.wavio import write_wav
 
 
@@ -448,3 +452,49 @@ def test_end_to_end_cli_prints_the_report(tmp_path, corpus3, capsys):
     assert "ordering mcd_enhanced_natural < mcd_synthetic_natural:" in out
     assert (work / "report.txt").is_file()
     assert (work / "plane.svg").is_file()
+
+
+# ----- options come from the config dataclasses ----------------------------------------
+
+
+def _options(command):
+    _, parsers = cli._build_parser()
+    return {a.dest: a for a in parsers[command]._actions}
+
+
+def _assert_field_options(actions, config_cls, skip=()):
+    for f in dataclasses.fields(config_cls):
+        if f.name in skip:
+            continue
+        action = actions[f.name]
+        assert action.option_strings == ["--" + f.name.replace("_", "-")]
+        assert action.default == f.default
+        assert type(action.default) is f.type
+
+
+@pytest.mark.parametrize("command", ["train", "end-to-end"])
+def test_every_train_config_field_is_an_option_with_its_default(command):
+    _assert_field_options(_options(command), TrainConfig, skip=("arch",))
+
+
+def test_every_degrade_config_field_is_a_simulate_option_with_its_default():
+    _assert_field_options(_options("simulate"), DegradeConfig)
+
+
+def test_end_to_end_offers_only_the_degradation_seed():
+    actions = _options("end-to-end")
+    assert actions["sim_seed"].option_strings == ["--sim-seed"]
+    assert actions["sim_seed"].default == DegradeConfig.seed
+    degrade_only = {f.name for f in dataclasses.fields(DegradeConfig)} - {"seed"}
+    assert not degrade_only & set(actions)
+
+
+def test_end_to_end_options_reach_the_report(tmp_path, corpus3, capsys):
+    work = tmp_path / "work"
+    argv = ["end-to-end", "--wav-dir", str(corpus3), "--work-dir", str(work)]
+    argv += ["--epochs", "1", "--learning-rate", "0.0005", "--sim-seed", "5"]
+    assert cli.main(argv) == 0
+    assert "[config] learning_rate=0.0005" in capsys.readouterr().out
+    lines = (work / "report.txt").read_text().splitlines()
+    assert "learning_rate=0.0005" in lines[1].split()
+    assert "seed=5" in lines[2].split()

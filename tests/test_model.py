@@ -1,6 +1,9 @@
 """Converter-core oracles: shapes, forward semantics, losses, gradients,
 and checkpoint round trips."""
 
+import dataclasses
+import types
+
 import numpy as np
 import pytest
 
@@ -507,4 +510,36 @@ def test_checkpoint_with_non_finite_parameters_is_rejected(tmp_path):
     path = tmp_path / "m.ckpt"
     write_non_finite_checkpoint(path)
     with pytest.raises(FormatError, match="non-finite"):
+        load_checkpoint(path)
+
+
+def _with_feature_dims(header, in_dim, out_dim):
+    """`header` declaring in_dim and out_dim, as checkpoint headers once did."""
+    lines = [l for l in header.splitlines() if not l.startswith(("in_dim=", "out_dim="))]
+    return "\n".join([lines[0], f"in_dim={in_dim}", f"out_dim={out_dim}", *lines[1:]])
+
+
+def test_checkpoint_header_omits_feature_dims_and_old_headers_still_load(tmp_path):
+    path = _saved(tmp_path)
+    header, blob = _split_checkpoint(path)
+    assert "in_dim=" not in header and "out_dim=" not in header
+    old = tmp_path / "old.ckpt"
+    _write_checkpoint(old, _with_feature_dims(header, 50, 45), blob)
+    loaded, current = load_checkpoint(old), load_checkpoint(path)
+    assert loaded.arch == current.arch == tiny_arch()
+    for name, p in current.params.items():
+        assert loaded.params[name].tobytes() == p.tobytes()
+
+
+def test_checkpoint_declaring_other_feature_dims_is_rejected(tmp_path):
+    # header and blob agree on 7 input and 3 output dims; features have 50 and 45
+    header, _ = _split_checkpoint(_saved(tmp_path))
+    arch = tiny_arch()
+    sizes = {f.name: getattr(arch, f.name) for f in dataclasses.fields(arch)}
+    other = types.SimpleNamespace(**{**sizes, "in_dim": 7, "out_dim": 3})
+    count = sum(int(np.prod(s)) for s in param_shapes(other).values())
+    header = _with_feature_dims(header, 7, 3).replace("param_count=3942", f"param_count={count}")
+    path = tmp_path / "other.ckpt"
+    _write_checkpoint(path, header, np.zeros(count, dtype="<f4").tobytes())
+    with pytest.raises(FormatError):
         load_checkpoint(path)

@@ -1,12 +1,13 @@
 """Post-filter paths, scenario rendering, and the end-to-end pipeline."""
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
 from conftest import make_features, make_model, tiny_arch
-from cyclevc import acoustics
+from cyclevc import acoustics, cli
 from cyclevc.degrade import DegradeConfig
 from cyclevc.errors import ConfigError, InputError
 from cyclevc.features import read_features
@@ -303,3 +304,48 @@ def test_end_to_end_errors_name_the_failing_stage(tmp_path):
     write_wav(wav_dir / "wrong.wav", np.zeros(16000), 16000)
     with pytest.raises(ConfigError, match="stage 'extract' failed"):
         run_end_to_end(wav_dir, tmp_path / "work")
+
+
+def test_report_config_lines_list_every_config_field(tmp_path):
+    path = tmp_path / "report.txt"
+    train_config = TrainConfig(epochs=3, learning_rate=5e-4, teacher_forcing=True)
+    degrade_config = DegradeConfig(noise_std=0.0, seed=11)
+    write_report(_summary(), train_config, degrade_config, path)
+    lines = path.read_text().splitlines()
+    for line, head, config in (
+        (lines[1], "config", train_config),
+        (lines[2], "degrade", degrade_config),
+    ):
+        expected = [
+            f"{f.name}={getattr(config, f.name)}"
+            for f in dataclasses.fields(config)
+            if f.name != "arch"
+        ]
+        assert line == f"{head}: " + " ".join(expected)
+
+
+def test_step_by_step_cli_reproduces_the_end_to_end_artifacts(mini_runs, tmp_path):
+    base, (summary, _) = mini_runs
+    work = summary["work_dir"]
+    feats, model = work / "features", str(work / "model.ckpt")
+
+    def run(command, *argv, out):
+        assert cli.main([command, *map(str, argv), "--out-dir", str(tmp_path / out)]) == 0
+
+    run("extract", "--wav-dir", base / "wavs", out="natural")
+    run("simulate", "--features-dir", tmp_path / "natural", out="synthetic")
+    run("enhance", "--model", model, "--features-dir", feats / "synthetic", out="enhanced")
+    run("pseudo", "--model", model, "--features-dir", feats / "natural", out="pseudo")
+    run("synth", "--features-dir", feats / "enhanced", out="wav")
+    written = {
+        "natural": ("utt000", "utt001", "utt002"),
+        "synthetic": ("utt000", "utt001", "utt002"),
+        "pseudo": ("utt002",),
+        "enhanced": ("utt002",),
+    }
+    for role, ids in written.items():
+        for u in ids:
+            rel = f"{role}/{u}.cvf"
+            assert (tmp_path / rel).read_bytes() == (feats / rel).read_bytes(), rel
+    rendered = (work / "scenarios" / "post-filter" / "utt002.wav").read_bytes()
+    assert (tmp_path / "wav" / "utt002.wav").read_bytes() == rendered
