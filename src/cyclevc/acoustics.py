@@ -23,7 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import fft, ifft, irfft, next_fast_len, rfft, rfftfreq
 
 from .errors import ConfigError, InputError
-from .features import CAP_DIM, FRAME_SHIFT_MS, MCEP_DIM, UtteranceFeatures
+from .features import CAP_DB_FLOOR, CAP_DIM, FRAME_SHIFT_MS, MCEP_DIM, UtteranceFeatures
 from .sigproc import WarpedCepstrumCodec, box_smooth, hann_periodic, yin_periods
 
 FS = 24000
@@ -55,7 +55,6 @@ CAP_EDGES = np.array([hi for _, hi in CAP_BANDS[:-1]])
 # ring, and the ringing aliases when the envelope is re-sampled at harmonics.
 AMP_RANGE = 1e-3
 AMP_FLOOR = 1e-7
-CAP_DB_FLOOR = -60.0
 
 # frames analysed per batch: whole-utterance batches cost memory (the YIN and
 # periodogram spectra of every frame at once) for no further speed

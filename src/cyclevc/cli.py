@@ -20,8 +20,6 @@ from .features import read_features, write_manifest
 from .model import load_checkpoint, save_checkpoint
 from .pipeline import (
     END_TO_END_STAGES,
-    SCENARIOS,
-    ScenarioAssets,
     config_fields,
     convert_all,
     enhance,
@@ -29,7 +27,6 @@ from .pipeline import (
     generate_pseudo,
     render,
     run_end_to_end,
-    run_scenario,
 )
 from .training import TrainConfig, pair_dataset, pairing_report, train, write_loss_curve
 
@@ -98,12 +95,6 @@ def _build_parser():
 
     p = command("synth", "render feature files to WAV with the resynthesizer")
     p.add_argument("--features-dir", required=True)
-    p.add_argument("--out-dir", "--out", dest="out_dir", required=True)
-
-    p = command("scenario", "render one train/test pairing scenario")
-    p.add_argument("--name", required=True, choices=sorted(SCENARIOS))
-    for role in ROLES:
-        p.add_argument(f"--{role}-dir")
     p.add_argument("--out-dir", "--out", dest="out_dir", required=True)
 
     p = command("mcd", "mean mel-cepstral distortion between two feature sets")
@@ -183,10 +174,6 @@ def _apply_config(parser, sub, argv, args):
                 raise ConfigError(f"config key {key}: {exc}") from exc
         else:
             typed[key] = raw
-        if action.choices and typed[key] not in action.choices:
-            raise ConfigError(
-                f"config key {key}: {typed[key]!r} not in {sorted(action.choices)}"
-            )
     sub.set_defaults(**typed)
     return parser.parse_args(argv)
 
@@ -289,21 +276,6 @@ def _cmd_synth(args):
     return 0
 
 
-def _cmd_scenario(args):
-    _, role = SCENARIOS[args.name]
-    directory = getattr(args, f"{role}_dir")
-    if not directory:
-        raise ConfigError(f"scenario {args.name!r} requires --{role}-dir")
-    files = _feature_files(directory, role)
-    assets = ScenarioAssets(
-        features={role: [read_features(p) for p in files]},
-        paths={role: {p.stem: p for p in files}},
-    )
-    rows = run_scenario(args.name, assets, args.out_dir)
-    print(f"scenario {args.name}: {len(rows)} waveforms -> {args.out_dir}")
-    return 0
-
-
 def _cmd_mcd(args):
     value = mcd_set(_load_set(args.set_a, "set-a"), _load_set(args.set_b, "set-b"))
     print(f"mcd_db={value:.6f}")
@@ -369,7 +341,6 @@ _HANDLERS = {
     "pseudo": _cmd_pseudo,
     "enhance": _cmd_enhance,
     "synth": _cmd_synth,
-    "scenario": _cmd_scenario,
     "mcd": _cmd_mcd,
     "plane": _cmd_plane,
     "fixture": _cmd_fixture,

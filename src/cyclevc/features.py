@@ -2,7 +2,8 @@
 
 Per-frame layout is fixed: 45 mel-cepstral coefficients (dim 0 = energy),
 1 log-F0 (interpolated through unvoiced regions), 1 binary voicing flag,
-3 coded band-aperiodicity values; 50 dims total, 5 ms frame shift.
+3 coded band-aperiodicity values in [-60, 0] dB; 50 dims total, 5 ms frame
+shift.
 
 Feature file (little-endian): magic "CVF1", u32 version=1, u32 n_frames,
 u32 n_dims=50, u32 frame_shift_us=5000, u32 reserved=0, then
@@ -36,6 +37,10 @@ _VERSION = 1
 _HEADER = struct.Struct("<4sIIIII")
 
 STD_FLOOR = 1e-6
+
+# coded band aperiodicity lies in [CAP_DB_FLOOR, 0] dB; above 0 dB the noise
+# share of a band would exceed one
+CAP_DB_FLOOR = -60.0
 
 # largest frame-count difference between two renderings of one utterance
 # that pairing (training) and scoring (MCD) absorb by trimming the tail
@@ -78,6 +83,8 @@ class UtteranceFeatures:
                 raise InputError(f"{self.utt_id}: non-finite values in {name}")
         if not np.all((self.uv == 0.0) | (self.uv == 1.0)):
             raise InputError(f"{self.utt_id}: uv values must be exactly 0 or 1")
+        if not np.all((self.cap >= CAP_DB_FLOOR) & (self.cap <= 0.0)):
+            raise InputError(f"{self.utt_id}: cap values must lie in [{CAP_DB_FLOOR:g}, 0] dB")
 
     def full_frames(self):
         """(n, 50) float32 matrix in the fixed [mcep | lf0 | uv | cap] layout."""

@@ -17,14 +17,14 @@ A scenario names which features a vocoder would train on and which it
 renders at test time: natural/natural, natural/synthetic (acoustic
 mismatch), synthetic/synthetic (temporal mismatch), pseudo/enhanced (the
 post-filter pairing). The waveforms come from the deterministic
-source-filter resynthesizer, which needs no training, so only the test role
-is rendered; the training role is recorded for the learned vocoder the
-pairing is meant for.
+source-filter resynthesizer, which needs no training, so each distinct test
+set is rendered once, to `wavs/<role>/`; `scenarios.tsv` records each
+scenario's training role (for the learned vocoder the pairing is meant for)
+and the waveform directory of its test role.
 """
 
 import dataclasses
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -107,63 +107,6 @@ SCENARIOS = {
     "temporal-mismatch": ("synthetic", "synthetic"),
     "post-filter": ("pseudo", "enhanced"),
 }
-
-
-@dataclass
-class ScenarioAssets:
-    """Feature sets by role, with per-role source paths for the manifest."""
-
-    features: dict  # role -> list[UtteranceFeatures]
-    paths: dict = field(default_factory=dict)  # role -> {utt_id: path}
-
-    def role(self, name, scenario):
-        feats = self.features.get(name)
-        if not feats:
-            raise ConfigError(f"scenario {scenario!r} needs {name!r} features")
-        return feats
-
-
-def _display_path(path, base):
-    """Path as written into manifests: relative to `base` when possible."""
-    if path is None:
-        return "-"
-    path = Path(path)
-    if base is not None:
-        try:
-            return str(path.relative_to(base))
-        except ValueError:
-            pass
-    return str(path)
-
-
-def run_scenario(scenario, assets, out_dir, path_base=None):
-    """Render one scenario's test set; returns the manifest row list.
-
-    Writes `<out_dir>/<utt_id>.wav` per utterance plus `<out_dir>/manifest.tsv`
-    with rows utt_id, scenario, feature file (when known), waveform file.
-    Paths in the manifest are written relative to `path_base` when given, so
-    runs in different directories produce identical manifests.
-    """
-    if scenario not in SCENARIOS:
-        known = ", ".join(sorted(SCENARIOS))
-        raise ConfigError(f"unknown scenario {scenario!r}; expected one of: {known}")
-    _, test_role = SCENARIOS[scenario]
-    test_feats = sorted(assets.role(test_role, scenario), key=lambda f: f.utt_id)
-    feature_paths = assets.paths.get(test_role, {})
-    rows = [
-        (
-            feat.utt_id,
-            scenario,
-            _display_path(feature_paths.get(feat.utt_id), path_base),
-            _display_path(wav_path, path_base),
-        )
-        for feat, wav_path in zip(test_feats, render(test_feats, out_dir))
-    ]
-    with atomic_open(Path(out_dir) / "manifest.tsv", "w", encoding="utf-8") as fh:
-        fh.write("utt_id\tscenario\tfeatures\twaveform\n")
-        for row in rows:
-            fh.write("\t".join(row) + "\n")
-    return rows
 
 
 def split_train_test(utt_ids, test_fraction=0.2):
@@ -254,10 +197,11 @@ def run_end_to_end(wav_dir, work_dir, train_config=None, degrade_config=None):
 
     Extracts natural features, simulates degraded synthetic counterparts,
     trains the converter pair on an 80/20 split, produces pseudo and
-    enhanced features for the held-out utterances, renders every scenario,
-    and writes the distance-map reports. Returns a summary dict with the
-    headline MCD numbers and the paths of everything written. Errors name
-    the stage that failed.
+    enhanced features for the held-out utterances, renders each distinct
+    scenario test set once, and writes the scenario table and the
+    distance-map reports. Returns a summary dict with the headline MCD
+    numbers and the paths of everything written. Errors name the stage that
+    failed.
     """
     train_config = train_config or TrainConfig()
     degrade_config = degrade_config or DegradeConfig()
@@ -314,15 +258,12 @@ def run_end_to_end(wav_dir, work_dir, train_config=None, degrade_config=None):
         write_plane_svg(plane, work / "plane.svg")
 
     with _stage("scenarios"):
-        assets = ScenarioAssets(
-            features=test_sets,
-            paths={
-                role: {u: dirs[role] / f"{u}.cvf" for u in test_ids}
-                for role in test_sets
-            },
-        )
-        for name in sorted(SCENARIOS):
-            run_scenario(name, assets, work / "scenarios" / name, path_base=work)
+        for role in dict.fromkeys(test_on for _, test_on in SCENARIOS.values()):
+            render(test_sets[role], work / "wavs" / role)
+        with atomic_open(work / "scenarios.tsv", "w", encoding="utf-8") as fh:
+            fh.write("scenario\ttrain_on\ttest_on\twaveforms\n")
+            for name, (train_on, test_on) in SCENARIOS.items():
+                fh.write(f"{name}\t{train_on}\t{test_on}\twavs/{test_on}\n")
 
     summary = {
         "work_dir": work,

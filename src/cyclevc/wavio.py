@@ -15,10 +15,13 @@ _PCM_SCALE = 32767.0
 
 
 def write_wav(path, x, fs):
-    """Write a float waveform in [-1, 1] as mono 16-bit PCM; values are clipped."""
+    """Write a float waveform in [-1, 1] as mono 16-bit PCM; values are clipped.
+    A non-finite sample raises InputError and writes nothing."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise InputError(f"expected mono waveform, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise InputError(f"{path}: waveform holds non-finite samples")
     pcm = np.clip(np.round(x * _PCM_SCALE), -32768, 32767).astype("<i2")
     with atomic_open(path, "wb") as fh, wave.open(fh, "wb") as w:
         w.setnchannels(1)

@@ -2,9 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from cyclevc.features import N_DIMS, NormStats, UtteranceFeatures
 from cyclevc.model import CycleVCModel, ModelArch, save_checkpoint
+
+# shared by the property tests: reproducible examples, no per-example deadline
+FUZZ = settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 
 
 def make_features(utt_id, n_frames, rng=None, voiced=True):

@@ -5,7 +5,8 @@ here checks a user-visible contract, most of them at full scale:
 
 1.  Training on a degraded copy of the bundled corpus makes enhanced
     features land measurably closer to natural speech than the degraded
-    input does, within a modest time budget.
+    input does, within a modest time budget, and the headline numbers stay
+    at their pinned values.
 2.  Pseudo conversion never disturbs timing: frame counts, voicing, and
     log-F0 stay bit-identical to the natural target utterance.
 3.  Analytic gradients agree with central finite differences across 100+
@@ -95,6 +96,20 @@ def test_enhanced_features_beat_synthetic_by_a_margin(runs):
     # strict improvement with at least 0.1 dB to spare, on both axes
     assert summary["mcd_enhanced_natural"] <= baseline - 0.1
     assert summary["mcd_enhanced_pseudo"] <= baseline - 0.1
+
+
+# Headline MCDs of the default run on the fixed corpus, pinned so that an
+# unintended numeric change shows. 5e-3 dB covers the OpenBLAS thread-count
+# effect (up to 1.6e-3 dB). A change that moves the numerics on purpose
+# updates these values and records the shift.
+PINNED_HEADLINE_DB = {"mcd_enhanced_natural": 1.612938, "mcd_enhanced_pseudo": 0.805691}
+PINNED_TOLERANCE_DB = 5e-3
+
+
+def test_headline_numbers_match_the_pinned_values(runs):
+    summary, _ = runs["run_a"]
+    for key, pinned in PINNED_HEADLINE_DB.items():
+        assert summary[key] == pytest.approx(pinned, abs=PINNED_TOLERANCE_DB), key
 
 
 def test_full_pipeline_fits_the_time_budget(runs):

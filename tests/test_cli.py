@@ -237,26 +237,35 @@ def test_zero_frame_feature_file_is_exit_one(tmp_path, capsys, command):
     assert "declares 0 frames" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "column, value, message",
+    [("cap", 3.0, "cap values must lie in"), ("mcep0", 1000.0, "non-finite samples")],
+)
+def test_synth_of_unrenderable_features_is_exit_one(tmp_path, capsys, column, value, message):
+    import struct
+
+    from conftest import make_features
+    from cyclevc.features import CAP_SLICE
+
+    frames = make_features("u", 40).full_frames()
+    frames[:, CAP_SLICE if column == "cap" else 0] = value
+    feats = tmp_path / "feats"
+    feats.mkdir()
+    header = struct.pack("<4sIIIII", b"CVF1", 1, len(frames), 50, 5000, 0)
+    (feats / "u.cvf").write_bytes(header + frames.astype("<f4").tobytes())
+    out = tmp_path / "wav"
+    rc = cli.main(["synth", "--features-dir", str(feats), "--out-dir", str(out)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not list(out.glob("*"))
+
+
 def test_train_requires_an_output_destination(tmp_path, capsys):
     manifest = tmp_path / "m.tsv"
     manifest.write_text("")
     rc = cli.main(["train", "--manifest", str(manifest)])
     assert rc == 1
     assert "needs --model-out or --out-dir" in capsys.readouterr().err
-
-
-def test_scenario_requires_the_test_role_directory(tmp_path, capsys):
-    rc = cli.main(
-        ["scenario", "--name", "temporal-mismatch", "--out-dir", str(tmp_path)]
-    )
-    assert rc == 1
-    assert "requires --synthetic-dir" in capsys.readouterr().err
-
-
-def test_scenario_rejects_unknown_names(tmp_path, capsys):
-    rc = cli.main(["scenario", "--name", "mystery", "--out-dir", str(tmp_path)])
-    assert rc == 1
-    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_manifest_command_rejects_one_sided_utterances(tmp_path, capsys):
@@ -396,21 +405,6 @@ def test_cli_tool_chain(tmp_path, corpus3, capsys):
         ["synth", "--features-dir", str(pseudo), "--out-dir", str(wav_out)]
     ) == 0
     assert len(list(wav_out.glob("*.wav"))) == 3
-
-    scen_out = tmp_path / "scen"
-    assert cli.main(
-        [
-            "scenario",
-            "--name",
-            "natural",
-            "--natural-dir",
-            str(natural),
-            "--out-dir",
-            str(scen_out),
-        ]
-    ) == 0
-    assert (scen_out / "manifest.tsv").is_file()
-    assert len(list(scen_out.glob("*.wav"))) == 3
 
 
 def test_end_to_end_dry_run_plans_without_touching_anything(tmp_path, capsys):

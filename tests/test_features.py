@@ -78,6 +78,24 @@ def test_non_binary_voicing_flags_are_rejected():
         )
 
 
+@pytest.mark.parametrize("cap_db", [3.0, 1e-3, -60.5, -200.0])
+def test_aperiodicity_outside_its_coded_range_is_rejected(cap_db):
+    cap = np.zeros((5, 3))
+    cap[2, 1] = cap_db
+    with pytest.raises(InputError, match="cap"):
+        UtteranceFeatures(
+            utt_id="u", mcep=np.zeros((5, 45)), lf0=np.zeros(5), uv=np.zeros(5), cap=cap
+        )
+
+
+def test_aperiodicity_range_ends_are_accepted():
+    cap = np.array([[0.0, features.CAP_DB_FLOOR, -30.0]] * 2)
+    feat = UtteranceFeatures(
+        utt_id="u", mcep=np.zeros((2, 45)), lf0=np.zeros(2), uv=np.zeros(2), cap=cap
+    )
+    assert feat.cap.min() == -60.0 and feat.cap.max() == 0.0
+
+
 def test_full_frame_layout_is_mcep_lf0_uv_cap():
     feat = make_features("u", 6)
     frames = feat.full_frames()

@@ -7,22 +7,15 @@ valid file of its format.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_features, make_model
+from conftest import FUZZ, make_features, make_model
 from cyclevc import cli
 from cyclevc.errors import ConfigError, InputError
 from cyclevc.features import read_features, read_manifest, write_features, write_manifest
 from cyclevc.model import load_checkpoint, save_checkpoint
 from cyclevc.wavio import read_wav, write_wav
-
-FUZZ = settings(
-    max_examples=150,
-    deadline=None,
-    derandomize=True,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
 
 
 def _flip(raw, edits):

@@ -1,4 +1,4 @@
-"""Post-filter paths, scenario rendering, and the end-to-end pipeline."""
+"""Post-filter paths, rendering, and the end-to-end pipeline."""
 
 import dataclasses
 import os
@@ -7,17 +7,17 @@ import numpy as np
 import pytest
 
 from conftest import make_features, make_model, tiny_arch
-from cyclevc import acoustics, cli
+from cyclevc import acoustics, cli, pipeline
 from cyclevc.degrade import DegradeConfig
 from cyclevc.errors import ConfigError, InputError
 from cyclevc.features import read_features
 from cyclevc.pipeline import (
+    END_TO_END_STAGES,
     SCENARIOS,
-    ScenarioAssets,
     enhance,
     generate_pseudo,
+    render,
     run_end_to_end,
-    run_scenario,
     split_train_test,
     write_report,
 )
@@ -77,47 +77,14 @@ def test_scenario_table_covers_the_four_training_test_pairings():
     }
 
 
-def test_natural_scenario_is_plain_resynthesis(tmp_path):
+def test_render_is_plain_resynthesis(tmp_path):
     feat = make_features("solo", 24)
     out_dir = tmp_path / "out"
-    rows = run_scenario("natural", ScenarioAssets(features={"natural": [feat]}), out_dir)
-    assert rows == [("solo", "natural", "-", str(out_dir / "solo.wav"))]
+    assert render([feat], out_dir) == [out_dir / "solo.wav"]
     ref_path = tmp_path / "ref.wav"
     ref = acoustics.synthesize(feat, acoustics.FS)
     write_wav(ref_path, np.clip(ref, -1.0, 1.0), acoustics.FS)
     assert (out_dir / "solo.wav").read_bytes() == ref_path.read_bytes()
-
-
-def test_scenario_manifest_contents_and_relative_paths(tmp_path):
-    feats = [make_features("b", 10), make_features("a", 12)]
-    assets = ScenarioAssets(
-        features={"synthetic": feats},
-        paths={"synthetic": {"a": tmp_path / "feats" / "a.cvf"}},
-    )
-    out_dir = tmp_path / "tm"
-    rows = run_scenario("temporal-mismatch", assets, out_dir, path_base=tmp_path)
-    # sorted by utt_id; known feature paths relative to the base, unknown as "-"
-    assert rows == [
-        ("a", "temporal-mismatch", "feats/a.cvf", "tm/a.wav"),
-        ("b", "temporal-mismatch", "-", "tm/b.wav"),
-    ]
-    lines = (out_dir / "manifest.tsv").read_text().splitlines()
-    assert lines[0] == "utt_id\tscenario\tfeatures\twaveform"
-    assert lines[1] == "a\ttemporal-mismatch\tfeats/a.cvf\ttm/a.wav"
-    assert len(lines) == 3
-    assert (out_dir / "a.wav").exists() and (out_dir / "b.wav").exists()
-
-
-def test_unknown_scenario_lists_the_valid_names(tmp_path):
-    with pytest.raises(ConfigError, match="acoustic-mismatch.*post-filter") as err:
-        run_scenario("mystery", ScenarioAssets(features={}), tmp_path)
-    assert "mystery" in str(err.value)
-
-
-def test_scenario_with_missing_role_names_both(tmp_path):
-    assets = ScenarioAssets(features={"pseudo": [make_features("x", 5)]})
-    with pytest.raises(ConfigError, match="'post-filter' needs 'enhanced'"):
-        run_scenario("post-filter", assets, tmp_path)
 
 
 # ----- train/test split ---------------------------------------------------------------
@@ -247,10 +214,9 @@ def test_end_to_end_writes_every_artifact(mini_runs):
         expected = {"utt000", "utt001", "utt002"} if role in ("natural", "synthetic") else {"utt002"}
         found = {p.stem for p in (work / "features" / role).glob("*.cvf")}
         assert found == expected, role
-    for scenario in SCENARIOS:
-        sdir = work / "scenarios" / scenario
-        assert (sdir / "manifest.tsv").is_file()
-        assert (sdir / "utt002.wav").is_file()
+    assert (work / "scenarios.tsv").is_file()
+    for role in ("natural", "synthetic", "enhanced"):
+        assert (work / "wavs" / role / "utt002.wav").is_file(), role
     assert len((work / "loss.tsv").read_text().splitlines()) == 3  # header + 2 epochs
     report = (work / "report.txt").read_text()
     assert "ordering mcd_enhanced_natural < mcd_synthetic_natural:" in report
@@ -281,12 +247,52 @@ def test_end_to_end_reruns_are_byte_identical(mini_runs):
         "train_manifest.tsv",
         "features/pseudo/utt002.cvf",
         "features/enhanced/utt002.cvf",
-        "scenarios/post-filter/manifest.tsv",
-        "scenarios/post-filter/utt002.wav",
-        "scenarios/natural/manifest.tsv",
+        "scenarios.tsv",
+        "wavs/natural/utt002.wav",
+        "wavs/synthetic/utt002.wav",
+        "wavs/enhanced/utt002.wav",
     ]
     for rel in compare:
         assert (work_a / rel).read_bytes() == (work_b / rel).read_bytes(), rel
+
+
+def test_scenario_table_points_each_scenario_at_its_test_waveforms(mini_runs):
+    _, (summary, _) = mini_runs
+    work = summary["work_dir"]
+    lines = (work / "scenarios.tsv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "scenario\ttrain_on\ttest_on\twaveforms"
+    rows = [line.split("\t") for line in lines[1:]]
+    assert [(name, (train_on, test_on)) for name, train_on, test_on, _ in rows] == list(
+        SCENARIOS.items()
+    )
+    for _, _, test_on, waveforms in rows:
+        assert waveforms == f"wavs/{test_on}"
+        wavs = sorted(p.stem for p in (work / waveforms).glob("*.wav"))
+        assert wavs == summary["test_ids"]
+    # each distinct test role is rendered once, and nothing else is
+    assert sorted(p.name for p in (work / "wavs").iterdir()) == [
+        "enhanced",
+        "natural",
+        "synthetic",
+    ]
+    assert not (work / "scenarios").exists()
+
+
+def test_end_to_end_runs_the_planned_stages_in_order(tmp_path, monkeypatch):
+    from cyclevc.fixture import make_corpus
+
+    seen = []
+    real_stage = pipeline._stage
+
+    def recording_stage(name):
+        seen.append(name)
+        return real_stage(name)
+
+    monkeypatch.setattr(pipeline, "_stage", recording_stage)
+    make_corpus(tmp_path / "wavs", n_utterances=3, seed=20240917)
+    config = TrainConfig(epochs=1, arch=tiny_arch())
+    run_end_to_end(tmp_path / "wavs", tmp_path / "work", train_config=config)
+    assert tuple(seen) == END_TO_END_STAGES
 
 
 def test_end_to_end_needs_at_least_two_utterances(tmp_path):
@@ -347,5 +353,5 @@ def test_step_by_step_cli_reproduces_the_end_to_end_artifacts(mini_runs, tmp_pat
         for u in ids:
             rel = f"{role}/{u}.cvf"
             assert (tmp_path / rel).read_bytes() == (feats / rel).read_bytes(), rel
-    rendered = (work / "scenarios" / "post-filter" / "utt002.wav").read_bytes()
+    rendered = (work / "wavs" / "enhanced" / "utt002.wav").read_bytes()
     assert (tmp_path / "wav" / "utt002.wav").read_bytes() == rendered

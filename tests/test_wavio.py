@@ -38,6 +38,15 @@ def test_out_of_range_samples_are_clipped(tmp_path):
     assert y[1] == pytest.approx(-32768.0 / 32767.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_rejects_non_finite_samples_and_leaves_no_file(tmp_path, bad):
+    x = np.zeros(480)
+    x[17] = bad
+    with pytest.raises(InputError, match="non-finite"):
+        write_wav(tmp_path / "x.wav", x, 24000)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_write_rejects_non_mono_input(tmp_path):
     with pytest.raises(InputError, match="mono"):
         write_wav(tmp_path / "x.wav", np.zeros((10, 2)), 24000)
