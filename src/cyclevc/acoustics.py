@@ -15,7 +15,7 @@ aperiodicity contrasts harmonic against interharmonic probe power. Both
 probe sets come from one chirp-z transform per voiced frame, at a half-F0
 step, computed as a Bluestein FFT convolution. Synthesis excites pulse and
 noise sources, mixes them per aperiodicity band, and applies the envelope
-frame-by-frame with FFT overlap-add.
+with FFT overlap-add, in the same blocks of frames as analysis.
 """
 
 import numpy as np
@@ -39,6 +39,8 @@ YIN_WINDOW = 480
 YIN_TAU_MAX = int(round(FS / F0_FLOOR))
 VOICING_DIP_MAX = 0.25
 SILENCE_RMS = 1e-4
+# a louder waveform overflows the squared analysis spectra, (peak * window)^2
+PEAK_MAX = 1e150
 
 ENV_PERIODS = 4
 ENV_WINDOW_MIN = 201
@@ -56,8 +58,8 @@ CAP_EDGES = np.array([hi for _, hi in CAP_BANDS[:-1]])
 AMP_RANGE = 1e-3
 AMP_FLOOR = 1e-7
 
-# frames analysed per batch: whole-utterance batches cost memory (the YIN and
-# periodogram spectra of every frame at once) for no further speed
+# frames analysed or synthesized per batch: whole-utterance batches cost
+# memory (the spectra of every frame at once) for no further speed
 BLOCK_FRAMES = 64
 # zero padding on each side of the waveform: the widest analysis window
 # (the longest voiced-frame window) centred on the first or last frame fits
@@ -66,6 +68,8 @@ PAD = ENV_WINDOW_MAX // 2 + 1
 SYN_WINDOW = 480
 SYN_FFT = 1024
 _SYN_SEED = 0x5F3C0DE
+# e^500 ~ 1.4e217 renders finite; c0 <= 0 with |c_k| <= 4 peaks at 2*4*44 = 352
+LOG_ENV_MAX = 500.0
 
 
 def _interp_lf0(f0, voiced):
@@ -109,7 +113,7 @@ _UV_HANN = np.hanning(UNVOICED_WINDOW)
 _UV_NOISE_SIGMA = _UV_HANN.sum() / (2.0 * np.sqrt(np.sum(_UV_HANN * _UV_HANN)))
 _SYN_HANN = hann_periodic(SYN_WINDOW)
 _SYN_FREQS = rfftfreq(SYN_FFT, 1.0 / FS)
-_SYN_SAMPLER = _CODEC.sampler(_SYN_FREQS)
+_SYN_ENVELOPE = _CODEC.envelope_matrix(_SYN_FREQS)
 _SYN_BAND_OF_BIN = np.searchsorted(CAP_EDGES, _SYN_FREQS, side="right")
 
 
@@ -122,8 +126,11 @@ def analyze(waveform, fs, utt_id=""):
         raise InputError("empty waveform")
     if x.size < HOP:
         raise InputError(f"waveform shorter than one frame ({HOP} samples)")
-    if not np.all(np.isfinite(x)):
+    peak = np.max(np.abs(x))
+    if not np.isfinite(peak):
         raise InputError("waveform contains non-finite samples")
+    if peak > PEAK_MAX:
+        raise InputError(f"waveform peak {peak:.3g} exceeds {PEAK_MAX:g}, too loud to analyze")
 
     n = x.size // HOP + 1
     padded = np.zeros(PAD + (n - 1) * HOP + PAD)
@@ -249,23 +256,29 @@ def synthesize(feat, fs):
     noise[:pad] = 0.0
     noise[pad + length :] = 0.0
 
-    win = _SYN_HANN
     out = np.zeros(buf_len)
     cola = np.zeros(buf_len)
     mcep = feat.mcep.astype(np.float64)
     cap_lin = np.power(10.0, feat.cap.astype(np.float64) / 10.0)
     half = SYN_FFT // 2
-    for t in range(n):
-        s = pad + t * HOP - SYN_WINDOW // 2
-        seg_p = rfft(pulses[s : s + SYN_WINDOW] * win, SYN_FFT)
-        seg_n = rfft(noise[s : s + SYN_WINDOW] * win, SYN_FFT)
-        env = np.exp(_CODEC.log_env_at(mcep[t], _SYN_SAMPLER))
-        a = cap_lin[t][_SYN_BAND_OF_BIN]
-        spectrum = (seg_p * np.sqrt(1.0 - a) + seg_n * np.sqrt(a)) * env
+    starts = pad + np.arange(n) * HOP - SYN_WINDOW // 2
+    pulse_rows = sliding_window_view(pulses, SYN_WINDOW)
+    noise_rows = sliding_window_view(noise, SYN_WINDOW)
+    for lo in range(0, n, BLOCK_FRAMES):
+        block = slice(lo, lo + BLOCK_FRAMES)
+        s = starts[block]
+        log_env = mcep[block] @ _SYN_ENVELOPE
+        peak = np.max(log_env)
+        if peak > LOG_ENV_MAX:
+            raise InputError(f"{feat.utt_id}: log envelope peak {peak:.4g} exceeds {LOG_ENV_MAX:g}")
+        seg_p = rfft(pulse_rows[s] * _SYN_HANN, SYN_FFT, axis=1)
+        seg_n = rfft(noise_rows[s] * _SYN_HANN, SYN_FFT, axis=1)
+        a = cap_lin[block][:, _SYN_BAND_OF_BIN]
+        spectrum = (seg_p * np.sqrt(1.0 - a) + seg_n * np.sqrt(a)) * np.exp(log_env)
         # the zero-phase envelope IR is acausal; center it when placing
-        y = np.roll(irfft(spectrum, SYN_FFT), half)
-        out[s - half : s + half] += y
-        cola[s : s + SYN_WINDOW] += win
+        y = np.roll(irfft(spectrum, SYN_FFT, axis=1), half, axis=1)
+        # add.at sums in frame order; a broadcast 1-D value array corrupts its sums
+        np.add.at(out, (s - half)[:, None] + np.arange(SYN_FFT), y)
+        np.add.at(cola, s[:, None] + np.arange(SYN_WINDOW), np.tile(_SYN_HANN, (len(s), 1)))
     out /= np.maximum(cola, 0.5)
     return out[pad : pad + length]
-

@@ -180,29 +180,26 @@ class NormStats:
 
     mean: np.ndarray  # (50,) float64
     std: np.ndarray   # (50,) float64
-    domain_tag: str   # "source" or "target"
 
     def __post_init__(self):
         self.mean = np.ascontiguousarray(self.mean, dtype=np.float64)
         self.std = np.ascontiguousarray(self.std, dtype=np.float64)
         if self.mean.shape != (N_DIMS,) or self.std.shape != (N_DIMS,):
             raise ShapeError(f"norm stats must be ({N_DIMS},) vectors")
-        if self.domain_tag not in ("source", "target"):
-            raise InputError(f"unknown domain_tag {self.domain_tag!r}")
         if not np.all(np.isfinite(self.mean)):
             raise InputError("norm mean must be finite")
         if not np.all((self.std > 0) & np.isfinite(self.std)):
             raise InputError("norm std must be positive and finite (flooring missed?)")
 
 
-def compute_norm_stats(feats, domain_tag):
+def compute_norm_stats(feats):
     """Mean/std over all frames of a feature set, per dimension."""
     if not feats:
         raise InputError("cannot compute norm stats from an empty feature set")
     frames = np.concatenate([f.full_frames() for f in feats], axis=0).astype(np.float64)
     mean = frames.mean(axis=0)
     std = np.maximum(frames.std(axis=0), STD_FLOOR)
-    return NormStats(mean=mean, std=std, domain_tag=domain_tag)
+    return NormStats(mean=mean, std=std)
 
 
 def normalize(feat, stats):

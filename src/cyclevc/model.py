@@ -525,12 +525,10 @@ def load_checkpoint(path):
     norm_src = NormStats(
         mean=_parse_vector(fields["src_mean"], "src_mean"),
         std=_parse_vector(fields["src_std"], "src_std"),
-        domain_tag="source",
     )
     norm_tgt = NormStats(
         mean=_parse_vector(fields["tgt_mean"], "tgt_mean"),
         std=_parse_vector(fields["tgt_std"], "tgt_std"),
-        domain_tag="target",
     )
     shapes = param_shapes(arch)
     expected = sum(int(np.prod(s)) for s in shapes.values())

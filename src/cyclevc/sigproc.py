@@ -29,57 +29,49 @@ class WarpedCepstrumCodec:
     """Converts between sampled log spectral envelopes and warped cepstra.
 
     The envelope is resampled onto a uniform grid of the warped frequency
-    axis (grid_size + 1 nodes over [0, pi]); the cepstrum is the DCT-I of
+    axis (GRID_SIZE + 1 nodes over [0, pi]); the cepstrum is the DCT-I of
     that grid truncated to `order` coefficients. Reconstruction is the exact
     cosine expansion of the truncated cepstrum, so an envelope that came from
     a cepstrum round-trips through the codec unchanged up to grid
     interpolation.
     """
 
-    def __init__(self, fs, order=45, alpha=0.466, grid_size=512):
+    GRID_SIZE = 512
+
+    def __init__(self, fs, order, alpha):
         self.fs = float(fs)
         self.order = int(order)
         self.alpha = float(alpha)
-        self.grid_size = int(grid_size)
-        m = np.arange(self.grid_size + 1, dtype=np.float64)
-        self.warped_grid = np.pi * m / self.grid_size
+        warped_grid = np.pi * np.arange(self.GRID_SIZE + 1) / self.GRID_SIZE
         # linear-frequency position (Hz) of each warped grid node
-        self.node_freq_hz = (
-            warp_frequency(self.warped_grid, -self.alpha) * self.fs / (2.0 * np.pi)
-        )
-        d = np.arange(self.order, dtype=np.float64)
-        recon = np.cos(np.outer(m, d) * np.pi / self.grid_size)
-        recon[:, 1:] *= 2.0
-        self._recon = recon
+        self.node_freq_hz = warp_frequency(warped_grid, -self.alpha) * self.fs / (2.0 * np.pi)
 
     def cepstrum(self, freqs_hz, log_env):
         """Truncated warped cepstrum of a log envelope sampled at freqs_hz (sorted)."""
         on_grid = np.interp(self.node_freq_hz, freqs_hz, log_env)
-        c = dct(on_grid, type=1) / (2.0 * self.grid_size)
+        c = dct(on_grid, type=1) / (2.0 * self.GRID_SIZE)
         return c[: self.order]
 
-    def grid_log_env(self, cep):
-        """Log envelope on the uniform warped grid for a truncated cepstrum."""
-        return self._recon @ np.asarray(cep, dtype=np.float64)
-
-    def sampler(self, freqs_hz):
-        """Precompute interpolation (indices, weights) for evaluating grid
-        envelopes at the given linear frequencies."""
+    def envelope_matrix(self, freqs_hz):
+        """(order, len(freqs_hz)) matrix M: `cep @ M` is the log envelope of
+        cep at freqs_hz, linearly interpolated between warped grid nodes."""
         omega = 2.0 * np.pi * np.asarray(freqs_hz, dtype=np.float64) / self.fs
-        pos = warp_frequency(omega, self.alpha) / np.pi * self.grid_size
-        pos = np.clip(pos, 0.0, float(self.grid_size))
-        i0 = np.minimum(pos.astype(np.int64), self.grid_size - 1)
-        frac = pos - i0
-        return i0, frac
-
-    def log_env_at(self, cep, sampler):
-        """Evaluate the envelope of `cep` at frequencies prepared by sampler()."""
-        grid = self.grid_log_env(cep)
-        i0, frac = sampler
-        return grid[i0] * (1.0 - frac) + grid[i0 + 1] * frac
+        pos = warp_frequency(omega, self.alpha) / np.pi * self.GRID_SIZE
+        pos = np.clip(pos, 0.0, float(self.GRID_SIZE))
+        i0 = np.minimum(pos.astype(np.int64), self.GRID_SIZE - 1)
+        frac = (pos - i0)[:, None]
+        # row m is the cosine expansion at grid node m
+        m = np.arange(self.GRID_SIZE + 1)
+        recon = np.cos(np.outer(m, np.arange(self.order)) * np.pi / self.GRID_SIZE)
+        recon[:, 1:] *= 2.0
+        return (recon[i0] * (1.0 - frac) + recon[i0 + 1] * frac).T
 
 
-def yin_periods(frames, fs, fmin, fmax, integration, threshold=0.15):
+# a dip of the normalized difference below this marks a period candidate
+YIN_THRESHOLD = 0.15
+
+
+def yin_periods(frames, fs, fmin, fmax, integration):
     """YIN-style period estimates for a block of frames, one per row.
 
     Parameters
@@ -125,7 +117,7 @@ def yin_periods(frames, fs, fmin, fmax, integration, threshold=0.15):
     # with no dip below it, the global minimum of the search band
     lo, hi = tau_min, tau_max
     band = dn[:, lo : hi + 1]
-    below = band < threshold
+    below = band < YIN_THRESHOLD
     first = np.argmax(below, axis=1)
     stops = np.ones(band.shape, dtype=bool)
     stops[:, :-1] = band[:, 1:] >= band[:, :-1]

@@ -162,8 +162,8 @@ def train(pairs, config=None):
     if len(set(ids)) != len(ids):
         raise PairingError("duplicate utt_ids in training set")
 
-    norm_src = compute_norm_stats([p.source for p in pairs], "source")
-    norm_tgt = compute_norm_stats([p.target for p in pairs], "target")
+    norm_src = compute_norm_stats([p.source for p in pairs])
+    norm_tgt = compute_norm_stats([p.target for p in pairs])
 
     init_ss, shuffle_ss = np.random.SeedSequence(config.seed).spawn(2)
     model = CycleVCModel.init(config.arch, norm_src, norm_tgt, seed=init_ss)

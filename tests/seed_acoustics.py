@@ -1,4 +1,4 @@
-"""The analyzer as first written, kept as a test-only reference.
+"""The analyzer and synthesizer as first written, kept as test-only references.
 
 `SeedAnalyzer.analyze` is the original per-frame analysis: YIN on each
 frame through `scipy.signal.correlate`, two `scipy.signal.czt` probe sets per
@@ -7,10 +7,15 @@ frame. The code is unchanged apart from living in a class of its own; it
 shares only the constants, the lf0 interpolation and the cepstrum codec with
 `cyclevc.acoustics`. `tests/test_analysis_reference.py` checks the current
 analyzer against it within stated tolerances.
+
+`synthesize` is the original per-frame overlap-add, unchanged apart from
+evaluating the envelope through the local `_sampler`/`_log_env_at` helpers
+that the codec class once provided. `tests/test_synthesis_reference.py`
+checks the block-batched synthesizer against it.
 """
 
 import numpy as np
-from scipy.fft import rfft, rfftfreq
+from scipy.fft import irfft, rfft, rfftfreq
 from scipy.signal import correlate, czt
 
 from cyclevc.acoustics import (
@@ -29,15 +34,23 @@ from cyclevc.acoustics import (
     NYQUIST,
     SILENCE_RMS,
     SMOOTH_HALF_BINS,
+    SYN_FFT,
+    SYN_WINDOW,
     UNVOICED_FFT,
     UNVOICED_WINDOW,
     VOICING_DIP_MAX,
     YIN_TAU_MAX,
     YIN_WINDOW,
+    _SYN_BAND_OF_BIN,
+    _SYN_FREQS,
+    _SYN_HANN,
+    _SYN_SEED,
+    _UV_NOISE_SIGMA,
     _interp_lf0,
 )
+from cyclevc.errors import ConfigError
 from cyclevc.features import CAP_DIM, MCEP_DIM, UtteranceFeatures
-from cyclevc.sigproc import WarpedCepstrumCodec
+from cyclevc.sigproc import WarpedCepstrumCodec, warp_frequency
 
 
 def _slice_padded(x, start, length):
@@ -205,3 +218,88 @@ class SeedAnalyzer:
         amp = 2.0 * np.sqrt(power) / self._uv_window.sum()
         floor = max(amp.max() * AMP_RANGE, AMP_FLOOR)
         return self.codec.cepstrum(self._uv_freqs, np.log(np.maximum(amp, floor)))
+
+
+# ----- synthesis ----------------------------------------------------------------
+
+_GRID = WarpedCepstrumCodec.GRID_SIZE
+_RECON = np.cos(np.outer(np.arange(_GRID + 1.0), np.arange(MCEP_DIM + 0.0)) * np.pi / _GRID)
+_RECON[:, 1:] *= 2.0
+
+
+def _sampler(freqs_hz):
+    """Interpolation (indices, weights) for evaluating grid envelopes at the
+    given linear frequencies."""
+    omega = 2.0 * np.pi * np.asarray(freqs_hz, dtype=np.float64) / FS
+    pos = warp_frequency(omega, MCEP_ALPHA) / np.pi * _GRID
+    pos = np.clip(pos, 0.0, float(_GRID))
+    i0 = np.minimum(pos.astype(np.int64), _GRID - 1)
+    frac = pos - i0
+    return i0, frac
+
+
+def _log_env_at(cep, sampler):
+    """Evaluate the envelope of `cep` at frequencies prepared by _sampler()."""
+    grid = _RECON @ np.asarray(cep, dtype=np.float64)
+    i0, frac = sampler
+    return grid[i0] * (1.0 - frac) + grid[i0 + 1] * frac
+
+
+_SYN_SAMPLER = _sampler(_SYN_FREQS)
+
+
+def synthesize(feat, fs):
+    """Waveform at FS rendered from UtteranceFeatures."""
+    if fs != FS:
+        raise ConfigError(f"unsupported fs {fs}; the synthesizer runs at {FS} Hz")
+    feat.validate()
+    n = feat.n_frames
+    length = n * HOP
+    pad = SYN_FFT  # room for the acausal half of the zero-phase envelope IR
+    buf_len = pad + length + 2 * SYN_FFT
+
+    frame_pos = np.arange(length) / HOP
+    lf0 = feat.lf0.astype(np.float64)
+    f0_samp = np.exp(np.interp(frame_pos, np.arange(n), lf0))
+    f0_samp = np.clip(f0_samp, 20.0, NYQUIST * 0.9)
+    uv_samp = feat.uv[np.clip(np.round(frame_pos).astype(int), 0, n - 1)] > 0.5
+
+    # pulse excitation: unit harmonic amplitude needs impulse height T0/2
+    pulses = np.zeros(buf_len)
+    run_starts = np.flatnonzero(np.diff(np.concatenate([[0], uv_samp.view(np.int8)])) == 1)
+    run_ends = np.flatnonzero(np.diff(np.concatenate([uv_samp.view(np.int8), [0]])) == -1)
+    for s, e in zip(run_starts, run_ends):
+        f0_run = f0_samp[s : e + 1]
+        phase = np.cumsum(f0_run / FS) + 0.5
+        hits = np.flatnonzero(np.diff(np.floor(np.concatenate([[0.0], phase]))) >= 1)
+        pulses[pad + s + hits] = FS / (2.0 * f0_run[hits])
+
+    rng = np.random.Generator(np.random.PCG64(_SYN_SEED))
+    noise = rng.standard_normal(buf_len)
+    sigma = np.where(
+        uv_samp, 0.5 * np.sqrt(FS / f0_samp), _UV_NOISE_SIGMA
+    )
+    noise[pad : pad + length] *= sigma
+    noise[:pad] = 0.0
+    noise[pad + length :] = 0.0
+
+    win = _SYN_HANN
+    out = np.zeros(buf_len)
+    cola = np.zeros(buf_len)
+    mcep = feat.mcep.astype(np.float64)
+    cap_lin = np.power(10.0, feat.cap.astype(np.float64) / 10.0)
+    half = SYN_FFT // 2
+    for t in range(n):
+        s = pad + t * HOP - SYN_WINDOW // 2
+        seg_p = rfft(pulses[s : s + SYN_WINDOW] * win, SYN_FFT)
+        seg_n = rfft(noise[s : s + SYN_WINDOW] * win, SYN_FFT)
+        env = np.exp(_log_env_at(mcep[t], _SYN_SAMPLER))
+        a = cap_lin[t][_SYN_BAND_OF_BIN]
+        spectrum = (seg_p * np.sqrt(1.0 - a) + seg_n * np.sqrt(a)) * env
+        # the zero-phase envelope IR is acausal; center it when placing
+        y = np.roll(irfft(spectrum, SYN_FFT), half)
+        out[s - half : s + half] += y
+        cola[s : s + SYN_WINDOW] += win
+    out /= np.maximum(cola, 0.5)
+    return out[pad : pad + length]
+

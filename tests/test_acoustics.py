@@ -60,6 +60,14 @@ def test_analysis_rejects_degenerate_waveforms():
         analyze(bad, FS)
 
 
+def test_analysis_takes_loud_waveforms_up_to_the_peak_limit():
+    tone = _sawtooth(100.0, 0.2, amp=1.0)  # peak exactly 1
+    feat = analyze(1e150 * tone, FS)
+    assert np.all(np.isfinite(feat.full_frames()))
+    with pytest.raises(InputError, match=r"peak 1e\+152"):
+        analyze(1e152 * tone, FS)
+
+
 @pytest.mark.parametrize("f0, w_len", [(60.0, 1601), (137.0, 801), (400.0, 201)])
 def test_internal_probe_matches_reference_dft(rng, f0, w_len):
     seg = rng.standard_normal(w_len)

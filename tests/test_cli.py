@@ -239,7 +239,7 @@ def test_zero_frame_feature_file_is_exit_one(tmp_path, capsys, command):
 
 @pytest.mark.parametrize(
     "column, value, message",
-    [("cap", 3.0, "cap values must lie in"), ("mcep0", 1000.0, "non-finite samples")],
+    [("cap", 3.0, "cap values must lie in"), ("mcep0", 1000.0, "log envelope peak")],
 )
 def test_synth_of_unrenderable_features_is_exit_one(tmp_path, capsys, column, value, message):
     import struct

@@ -1,5 +1,10 @@
 """Feature container contracts, the binary file format, and normalization."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,6 +31,27 @@ from cyclevc.features import (
 from cyclevc.model import save_checkpoint
 
 # ----- container validation -------------------------------------------------
+
+
+def test_test_features_are_the_same_in_every_process():
+    # str hashes are salted per process; the builder's seed must not be
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests), str(tests.parent / "src")])
+    script = (
+        "from conftest import make_features; "
+        "print(make_features('u', 5).full_frames().tobytes().hex())"
+    )
+    dumps = [
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert dumps[0] == dumps[1]
 
 
 def test_arrays_are_stored_as_float32():
@@ -254,7 +280,7 @@ def test_norm_stats_match_hand_computation():
         uv=np.array([0.0, 0.0]),
         cap=np.full((2, 3), -8.0),
     )
-    stats = compute_norm_stats([a, b], "source")
+    stats = compute_norm_stats([a, b])
     # lf0 column holds {5, 7, 1, 3}: mean 4, population std sqrt(5)
     assert stats.mean[LF0_INDEX] == pytest.approx(4.0)
     assert stats.std[LF0_INDEX] == pytest.approx(np.sqrt(5.0))
@@ -263,13 +289,12 @@ def test_norm_stats_match_hand_computation():
     assert stats.std[UV_INDEX] == pytest.approx(0.5)
     # cap columns hold {0, 0, -8, -8}
     assert np.allclose(stats.mean[CAP_SLICE], -4.0)
-    assert stats.domain_tag == "source"
 
 
 def test_constant_dimension_std_is_floored():
     feat = make_features("u", 10)
     feat.uv[:] = 1.0  # constant dimension
-    stats = compute_norm_stats([feat], "target")
+    stats = compute_norm_stats([feat])
     assert stats.std[UV_INDEX] == 1e-6
     normalized = normalize(feat, stats)
     assert np.allclose(normalized[:, UV_INDEX], 0.0)
@@ -277,7 +302,7 @@ def test_constant_dimension_std_is_floored():
 
 def test_normalized_frames_have_zero_mean_unit_std(rng):
     feats = [make_features(f"u{i}", 40 + i) for i in range(4)]
-    stats = compute_norm_stats(feats, "source")
+    stats = compute_norm_stats(feats)
     frames = np.concatenate([normalize(f, stats) for f in feats]).astype(np.float64)
     assert np.all(np.abs(frames.mean(axis=0)) < 1e-5)
     varying = stats.std > 1e-6
@@ -286,7 +311,7 @@ def test_normalized_frames_have_zero_mean_unit_std(rng):
 
 def test_denormalize_inverts_normalize_within_tolerance():
     feats = [make_features(f"u{i}", 25) for i in range(3)]
-    stats = compute_norm_stats(feats, "target")
+    stats = compute_norm_stats(feats)
     target = feats[0]
     mcep_back = denormalize_mcep(normalize(target, stats)[:, :MCEP_DIM], stats)
     scale = np.maximum(np.abs(target.mcep), 1.0)
@@ -295,12 +320,7 @@ def test_denormalize_inverts_normalize_within_tolerance():
 
 def test_empty_feature_set_is_rejected():
     with pytest.raises(InputError, match="empty"):
-        compute_norm_stats([], "source")
-
-
-def test_unknown_domain_tag_is_rejected():
-    with pytest.raises(InputError, match="domain_tag"):
-        NormStats(mean=np.zeros(50), std=np.ones(50), domain_tag="bogus")
+        compute_norm_stats([])
 
 
 @pytest.mark.parametrize("field", ["mean", "std"])
@@ -308,11 +328,11 @@ def test_non_finite_norm_vectors_are_rejected(field):
     vectors = {"mean": np.zeros(50), "std": np.ones(50)}
     vectors[field][7] = np.nan
     with pytest.raises(InputError, match=f"norm {field}"):
-        NormStats(domain_tag="source", **vectors)
+        NormStats(**vectors)
 
 
 def test_denormalize_rejects_wrong_width():
-    stats = compute_norm_stats([make_features("u", 5)], "target")
+    stats = compute_norm_stats([make_features("u", 5)])
     with pytest.raises(ShapeError):
         denormalize_mcep(np.zeros((4, 44)), stats)
 

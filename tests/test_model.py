@@ -201,8 +201,8 @@ def test_splice_re_expresses_prosody_across_normalizations(rng):
     src_std[45:] = 4.0
     tgt_mean[45:] = 1.0
     tgt_std[45:] = 2.0
-    norm_src = NormStats(mean=src_mean, std=src_std, domain_tag="source")
-    norm_tgt = NormStats(mean=tgt_mean, std=tgt_std, domain_tag="target")
+    norm_src = NormStats(mean=src_mean, std=src_std)
+    norm_tgt = NormStats(mean=tgt_mean, std=tgt_std)
 
     mcep = np.asarray(rng.normal(size=(3, 45)), dtype=np.float32)
     y = np.full((3, 50), 0.5, dtype=np.float32)
@@ -358,12 +358,8 @@ def _edit_header(path, old, new):
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path, rng):
-    norm_src = NormStats(
-        mean=rng.normal(size=N_DIMS), std=rng.uniform(0.5, 2.0, N_DIMS), domain_tag="source"
-    )
-    norm_tgt = NormStats(
-        mean=rng.normal(size=N_DIMS), std=rng.uniform(0.5, 2.0, N_DIMS), domain_tag="target"
-    )
+    norm_src = NormStats(mean=rng.normal(size=N_DIMS), std=rng.uniform(0.5, 2.0, N_DIMS))
+    norm_tgt = NormStats(mean=rng.normal(size=N_DIMS), std=rng.uniform(0.5, 2.0, N_DIMS))
     model = CycleVCModel.init(tiny_arch(), norm_src, norm_tgt, seed=21)
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)

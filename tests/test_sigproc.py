@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import probe_amplitudes
+from cyclevc.acoustics import MCEP_ALPHA
+from cyclevc.features import MCEP_DIM
 from cyclevc.sigproc import (
     WarpedCepstrumCodec,
     box_smooth,
@@ -47,7 +49,7 @@ def test_negated_alpha_inverts_the_warp():
 
 
 def test_constant_envelope_yields_dc_only_cepstrum():
-    codec = WarpedCepstrumCodec(FS)
+    codec = WarpedCepstrumCodec(FS, MCEP_DIM, MCEP_ALPHA)
     freqs = np.linspace(0.0, FS / 2.0, 300)
     cep = codec.cepstrum(freqs, np.full(300, 1.7))
     assert cep[0] == pytest.approx(1.7, abs=1e-12)
@@ -58,7 +60,7 @@ def test_cosine_envelope_coefficients_are_recovered():
     # envelope built from the codec's own basis must come back as its
     # coefficients; reconstruction doubles the k >= 1 cosines, so an envelope
     # term a*cos(k w~) corresponds to coefficient a/2
-    codec = WarpedCepstrumCodec(FS)
+    codec = WarpedCepstrumCodec(FS, MCEP_DIM, MCEP_ALPHA)
     freqs = np.linspace(0.0, FS / 2.0, 6000)
     omega_warped = warp_frequency(2.0 * np.pi * freqs / FS, codec.alpha)
     log_env = 0.3 + 0.8 * np.cos(omega_warped) - 0.25 * np.cos(5.0 * omega_warped)
@@ -71,19 +73,11 @@ def test_cosine_envelope_coefficients_are_recovered():
 
 
 def test_grid_envelope_round_trips_a_truncated_cepstrum(rng):
-    codec = WarpedCepstrumCodec(FS)
+    codec = WarpedCepstrumCodec(FS, MCEP_DIM, MCEP_ALPHA)
     cep = rng.normal(0.0, 0.3, size=45)
-    grid = codec.grid_log_env(cep)
-    back = codec.cepstrum(codec.node_freq_hz, grid)
+    nodes = codec.node_freq_hz
+    back = codec.cepstrum(nodes, cep @ codec.envelope_matrix(nodes))
     assert np.allclose(back, cep, atol=1e-10)
-
-
-def test_log_env_at_matches_grid_at_node_frequencies(rng):
-    codec = WarpedCepstrumCodec(FS)
-    cep = rng.normal(0.0, 0.3, size=45)
-    sampler = codec.sampler(codec.node_freq_hz)
-    at_nodes = codec.log_env_at(cep, sampler)
-    assert np.allclose(at_nodes, codec.grid_log_env(cep), atol=1e-9)
 
 
 # ----- windows ----------------------------------------------------------------
