@@ -24,7 +24,7 @@ from scipy.fft import fft, ifft, irfft, next_fast_len, rfft, rfftfreq
 
 from .errors import ConfigError, InputError
 from .features import CAP_DB_FLOOR, CAP_DIM, FRAME_SHIFT_MS, MCEP_DIM, UtteranceFeatures
-from .sigproc import WarpedCepstrumCodec, box_smooth, hann_periodic, yin_periods
+from .sigproc import WarpedCepstrumCodec, box_smooth, hann_periodic, pulse_positions, yin_periods
 
 FS = 24000
 HOP = FS * FRAME_SHIFT_MS // 1000  # 120 samples
@@ -243,8 +243,7 @@ def synthesize(feat, fs):
     run_ends = np.flatnonzero(np.diff(np.concatenate([uv_samp.view(np.int8), [0]])) == -1)
     for s, e in zip(run_starts, run_ends):
         f0_run = f0_samp[s : e + 1]
-        phase = np.cumsum(f0_run / FS) + 0.5
-        hits = np.flatnonzero(np.diff(np.floor(np.concatenate([[0.0], phase]))) >= 1)
+        hits = pulse_positions(f0_run, FS)
         pulses[pad + s + hits] = FS / (2.0 * f0_run[hits])
 
     rng = np.random.Generator(np.random.PCG64(_SYN_SEED))

@@ -9,26 +9,29 @@ Exit codes: 0 success, 1 bad input or configuration, 2 internal failure.
 """
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
 from . import fixture
 from .degrade import DegradeConfig, simulate_tts
 from .errors import ConfigError, CycleVCError, InputError
-from .evaluation import ROLES, mcd_plane, mcd_set, write_plane_svg, write_plane_tsv
+from .evaluation import ROLES, mcd_set
 from .features import read_features, write_manifest
-from .model import load_checkpoint, save_checkpoint
+from .model import load_checkpoint
 from .pipeline import (
     END_TO_END_STAGES,
     config_fields,
     convert_all,
+    distance_map,
     enhance,
     extract,
+    fit,
     generate_pseudo,
     render,
     run_end_to_end,
 )
-from .training import TrainConfig, pair_dataset, pairing_report, train, write_loss_curve
+from .training import TrainConfig, pair_dataset, pairing_report
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,64 +59,63 @@ def _build_parser():
     sub.required = True
     parsers = {}
 
-    def command(name, help_text):
+    def command(name, help_text, handler):
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("--config", help="key=value file with defaults for this command")
+        p.set_defaults(handler=handler)
         parsers[name] = p
         return p
 
-    p = command("extract", "analyze WAV files into feature files")
+    p = command("extract", "analyze WAV files into feature files", _cmd_extract)
     p.add_argument("--wav-dir", required=True)
-    p.add_argument("--out-dir", "--out", dest="out_dir", required=True)
+    p.add_argument("--out-dir", required=True)
 
-    p = command("simulate", "degrade natural features into synthetic-like ones")
+    p = command("simulate", "degrade natural features into synthetic-like ones", _cmd_simulate)
     p.add_argument("--features-dir", required=True)
-    p.add_argument("--out-dir", "--out", dest="out_dir", required=True)
+    p.add_argument("--out-dir", required=True)
     _add_config_options(p, DegradeConfig)
 
-    p = command("manifest", "pair natural and synthetic feature dirs by stem")
+    p = command("manifest", "pair natural and synthetic feature dirs by stem", _cmd_manifest)
     p.add_argument("--natural-dir", required=True)
     p.add_argument("--synthetic-dir", required=True)
     p.add_argument("--out", required=True)
 
-    p = command("train", "train the converter pair on a paired manifest")
+    p = command("train", "train the converter pair on a paired manifest", _cmd_train)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--out-dir", "--out", dest="out_dir")
-    p.add_argument("--model-out")
-    p.add_argument("--loss-out")
+    p.add_argument("--out-dir", required=True)
     _add_config_options(p, TrainConfig)
 
-    p = command("pseudo", "self-convert natural features for vocoder training")
+    p = command("pseudo", "self-convert natural features for vocoder training", _cmd_pseudo)
     p.add_argument("--model", required=True)
     p.add_argument("--features-dir", required=True)
-    p.add_argument("--out-dir", "--out", dest="out_dir", required=True)
+    p.add_argument("--out-dir", required=True)
 
-    p = command("enhance", "convert synthetic features toward the natural domain")
+    p = command("enhance", "convert synthetic features toward the natural domain", _cmd_enhance)
     p.add_argument("--model", required=True)
     p.add_argument("--features-dir", required=True)
-    p.add_argument("--out-dir", "--out", dest="out_dir", required=True)
+    p.add_argument("--out-dir", required=True)
 
-    p = command("synth", "render feature files to WAV with the resynthesizer")
+    p = command("synth", "render feature files to WAV with the resynthesizer", _cmd_synth)
     p.add_argument("--features-dir", required=True)
-    p.add_argument("--out-dir", "--out", dest="out_dir", required=True)
+    p.add_argument("--out-dir", required=True)
 
-    p = command("mcd", "mean mel-cepstral distortion between two feature sets")
+    p = command("mcd", "mean mel-cepstral distortion between two feature sets", _cmd_mcd)
     p.add_argument("--set-a", required=True)
     p.add_argument("--set-b", required=True)
 
-    p = command("plane", "embed pairwise set MCDs into a labeled 2-D map")
+    p = command("plane", "embed pairwise set MCDs into a labeled 2-D map", _cmd_plane)
     for role in ROLES:
         p.add_argument(f"--{role}-dir")
-    p.add_argument("--out-dir", "--out", dest="out_dir")
-    p.add_argument("--tsv")
-    p.add_argument("--svg")
+    p.add_argument("--out-dir", required=True)
 
-    p = command("fixture", "generate the deterministic demo corpus")
-    p.add_argument("--out-dir", "--out", dest="out_dir", required=True)
+    p = command("fixture", "generate the deterministic demo corpus", _cmd_fixture)
+    p.add_argument("--out-dir", required=True)
     p.add_argument("--count", type=int, default=fixture.DEFAULT_UTTERANCES)
     p.add_argument("--seed", type=int, default=fixture.DEFAULT_SEED)
 
-    p = command("end-to-end", "full demo: extract, degrade, train, render, report")
+    p = command(
+        "end-to-end", "full demo: extract, degrade, train, render, report", _cmd_end_to_end
+    )
     p.add_argument("--wav-dir", required=True)
     p.add_argument("--work-dir", required=True)
     _add_config_options(p, TrainConfig)
@@ -179,10 +181,7 @@ def _apply_config(parser, sub, argv, args):
 
 
 def _echo(args):
-    skip = {"config"}
-    for key in sorted(vars(args)):
-        if key in skip:
-            continue
+    for key in sorted(vars(args).keys() - {"config", "handler"}):
         print(f"[config] {key}={getattr(args, key)}")
 
 
@@ -220,33 +219,28 @@ def _cmd_manifest(args):
     missing = sorted(set(nat) ^ set(syn))
     if missing:
         raise InputError(f"utterances present on one side only: {', '.join(missing)}")
-    write_manifest([(u, nat[u], syn[u]) for u in sorted(nat)], args.out)
+    # read_manifest resolves relative paths against the manifest's directory
+    base = os.path.dirname(os.path.abspath(args.out))
+    os.makedirs(base, exist_ok=True)
+    records = [
+        (u, os.path.relpath(nat[u], base), os.path.relpath(syn[u], base)) for u in sorted(nat)
+    ]
+    write_manifest(records, args.out)
     print(f"wrote {len(nat)} pairs -> {args.out}")
     return 0
 
 
 def _cmd_train(args):
-    if not args.model_out and not args.out_dir:
-        raise ConfigError("train needs --model-out or --out-dir")
-    model_out = Path(args.model_out) if args.model_out else Path(args.out_dir) / "model.ckpt"
-    loss_out = args.loss_out
-    if not loss_out and args.out_dir:
-        loss_out = Path(args.out_dir) / "loss.tsv"
-    model_out.parent.mkdir(parents=True, exist_ok=True)
-
     pairs = pair_dataset(args.manifest)
     for line in pairing_report(pairs):
         print(f"[pairing] {line}")
-    model, curve = train(pairs, _config(TrainConfig, args))
-    save_checkpoint(model, model_out)
-    if loss_out:
-        write_loss_curve(curve, loss_out)
+    _, curve = fit(pairs, _config(TrainConfig, args), args.out_dir)
     last = curve[-1]
     print(
         f"trained on {len(pairs)} utterances; "
         f"final stot_l1={last.stot_l1:.6f} cycle_l1={last.cycle_l1:.6f}"
     )
-    print(f"model -> {model_out}")
+    print(f"model and loss curve -> {args.out_dir}")
     return 0
 
 
@@ -283,12 +277,9 @@ def _cmd_mcd(args):
 
 
 def _cmd_plane(args):
-    sets = {}
-    for role in ROLES:
-        directory = getattr(args, f"{role}_dir")
-        if directory:
-            sets[role] = _load_set(directory, role)
-    result = mcd_plane(**sets)
+    dirs = {role: getattr(args, f"{role}_dir") for role in ROLES}
+    sets = {role: _load_set(d, role) for role, d in dirs.items() if d}
+    result = distance_map(sets, args.out_dir)
     for i in range(len(result.labels)):
         for j in range(i + 1, len(result.labels)):
             print(
@@ -296,16 +287,6 @@ def _cmd_plane(args):
                 f"{result.distances[i, j]:.3f}"
             )
     print(f"stress={result.stress:.6f}")
-    tsv, svg = args.tsv, args.svg
-    if args.out_dir:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        tsv = tsv or out / "plane.tsv"
-        svg = svg or out / "plane.svg"
-    if tsv:
-        write_plane_tsv(result, tsv)
-    if svg:
-        write_plane_svg(result, svg)
     return 0
 
 
@@ -316,15 +297,14 @@ def _cmd_fixture(args):
 
 
 def _cmd_end_to_end(args):
+    train_config = _config(TrainConfig, args)
+    degrade_config = DegradeConfig(seed=args.sim_seed)
     if args.dry_run:
         for step, stage in enumerate(END_TO_END_STAGES, 1):
             print(f"[plan] {step}. {stage}")
         return 0
     summary = run_end_to_end(
-        args.wav_dir,
-        args.work_dir,
-        train_config=_config(TrainConfig, args),
-        degrade_config=DegradeConfig(seed=args.sim_seed),
+        args.wav_dir, args.work_dir, train_config=train_config, degrade_config=degrade_config
     )
     report = Path(summary["report_path"]).read_text(encoding="utf-8")
     for line in report.rstrip("\n").splitlines():
@@ -333,28 +313,13 @@ def _cmd_end_to_end(args):
     return 0
 
 
-_HANDLERS = {
-    "extract": _cmd_extract,
-    "simulate": _cmd_simulate,
-    "manifest": _cmd_manifest,
-    "train": _cmd_train,
-    "pseudo": _cmd_pseudo,
-    "enhance": _cmd_enhance,
-    "synth": _cmd_synth,
-    "mcd": _cmd_mcd,
-    "plane": _cmd_plane,
-    "fixture": _cmd_fixture,
-    "end-to-end": _cmd_end_to_end,
-}
-
-
 def _run(argv):
     parser, parsers = _build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
         args = _apply_config(parser, parsers[args.command], argv, args)
     _echo(args)
-    return _HANDLERS[args.command](args)
+    return args.handler(args)
 
 
 def main(argv=None):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, PairingError, ShapeError
-from .features import MAX_FRAME_MISMATCH, MCEP_DIM, atomic_open
+from .features import MCEP_DIM, align_frames, atomic_open
 
 MCD_COEF = 10.0 * np.sqrt(2.0) / np.log(10.0)
 
@@ -38,18 +38,11 @@ def mcd_frame(c_a, c_b):
 def mcd_utterance(feat_a, feat_b):
     """Frame-mean MCD between two utterances of the same content.
 
-    Frame counts may differ by at most MAX_FRAME_MISMATCH; the tail of the
+    The frames are aligned with `features.align_frames`: the tail of the
     longer utterance is ignored.
     """
-    diff_frames = abs(feat_a.n_frames - feat_b.n_frames)
-    if diff_frames > MAX_FRAME_MISMATCH:
-        raise PairingError(
-            f"{feat_a.utt_id!r} vs {feat_b.utt_id!r}: frame counts differ by "
-            f"{diff_frames} ({feat_a.n_frames} vs {feat_b.n_frames}), "
-            f"at most {MAX_FRAME_MISMATCH} allowed"
-        )
-    n = min(feat_a.n_frames, feat_b.n_frames)
-    diff = feat_a.mcep[:n, 1:].astype(np.float64) - feat_b.mcep[:n, 1:].astype(np.float64)
+    a, b = align_frames(feat_a.utt_id, feat_a, feat_b)
+    diff = a.mcep[:, 1:].astype(np.float64) - b.mcep[:, 1:].astype(np.float64)
     return float(np.mean(MCD_COEF * np.sqrt(np.sum(diff * diff, axis=1))))
 
 
@@ -155,12 +148,7 @@ def write_plane_tsv(result, path):
         fh.write("\n".join(lines) + "\n")
 
 
-_SVG_COLORS = {
-    "natural": "#1a7f37",
-    "synthetic": "#b35900",
-    "pseudo": "#7b2d8b",
-    "enhanced": "#0b5fa5",
-}
+_SVG_COLORS = dict(zip(ROLES, ("#1a7f37", "#b35900", "#7b2d8b", "#0b5fa5")))
 
 
 def write_plane_svg(result, path):
@@ -203,7 +191,7 @@ def write_plane_svg(result, path):
             )
     for label, (x, y) in zip(result.labels, result.coords):
         px, py = to_px(x, y)
-        color = _SVG_COLORS.get(label, "#333333")
+        color = _SVG_COLORS[label]
         parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="7" fill="{color}"/>')
         parts.append(f'<text x="{px + 11:.2f}" y="{py + 5:.2f}">{label}</text>')
     parts.append(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import FormatError, InputError, ShapeError
+from .errors import FormatError, InputError, PairingError, ShapeError
 
 MCEP_DIM = 45
 CAP_DIM = 3
@@ -114,6 +114,28 @@ class UtteranceFeatures:
             uv=self.uv.copy(),
             cap=self.cap.copy(),
         )
+
+
+def _head(feat, n):
+    if feat.n_frames == n:
+        return feat
+    return UtteranceFeatures(feat.utt_id, feat.mcep[:n], feat.lf0[:n], feat.uv[:n], feat.cap[:n])
+
+
+def align_frames(utt_id, a, b):
+    """Two renderings of one utterance trimmed to the shorter one's frames.
+
+    A difference of more than MAX_FRAME_MISMATCH frames is a temporal
+    mismatch, not a tail to trim, and raises PairingError.
+    """
+    diff = abs(a.n_frames - b.n_frames)
+    if diff > MAX_FRAME_MISMATCH:
+        raise PairingError(
+            f"{utt_id}: temporal mismatch, frame counts differ by {diff} "
+            f"({a.n_frames} vs {b.n_frames}); at most {MAX_FRAME_MISMATCH} can be trimmed"
+        )
+    n = min(a.n_frames, b.n_frames)
+    return _head(a, n), _head(b, n)
 
 
 @contextmanager

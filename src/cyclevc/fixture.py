@@ -16,6 +16,7 @@ from scipy.signal import lfilter
 
 from .acoustics import FS
 from .errors import ConfigError
+from .sigproc import pulse_positions
 from .wavio import write_wav
 
 # formant presets: (F1, F2, F3, F4) in Hz
@@ -43,11 +44,17 @@ def _resonator(x, freq, bw, fs):
     return lfilter([gain], [1.0, -2.0 * r * np.cos(theta), r * r], x)
 
 
+def _faded(amp, x):
+    """x peak-normalized to amp, with CROSSFADE-sample linear fades at both ends."""
+    n = len(x)
+    x /= max(np.max(np.abs(x)), 1e-9)
+    fade = np.minimum(1.0, np.minimum(np.arange(n), n - 1 - np.arange(n)) / CROSSFADE)
+    return amp * x * fade
+
+
 def _glottal_pulses(n, f0_track, fs):
-    phase = np.cumsum(f0_track / fs)
-    hits = np.flatnonzero(np.diff(np.floor(np.concatenate([[0.0], phase + 0.5]))) >= 1)
     exc = np.zeros(n)
-    exc[hits] = 1.0
+    exc[pulse_positions(f0_track, fs)] = 1.0
     # -6 dB/octave tilt so the source resembles a glottal flow derivative
     return lfilter([1.0], [1.0, -0.94], exc)
 
@@ -60,18 +67,14 @@ def _vowel(rng, vowel, dur, f0_start, f0_end):
     x += 0.003 * rng.standard_normal(n)  # breath noise
     for freq, bw in zip(VOWELS[vowel], FORMANT_BW):
         x = _resonator(x, freq, bw, FS)
-    x /= max(np.max(np.abs(x)), 1e-9)
-    fade = np.minimum(1.0, np.minimum(np.arange(n), n - 1 - np.arange(n)) / CROSSFADE)
-    return VOWEL_AMP * x * fade
+    return _faded(VOWEL_AMP, x)
 
 
 def _fricative(rng, dur):
     n = int(dur * FS)
     x = rng.standard_normal(n)
     x = _resonator(x, 5200.0, 1800.0, FS) + 0.4 * _resonator(x, 7800.0, 2500.0, FS)
-    x /= max(np.max(np.abs(x)), 1e-9)
-    fade = np.minimum(1.0, np.minimum(np.arange(n), n - 1 - np.arange(n)) / CROSSFADE)
-    return FRIC_AMP * x * fade
+    return _faded(FRIC_AMP, x)
 
 
 def synth_utterance(rng):

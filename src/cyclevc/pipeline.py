@@ -86,6 +86,28 @@ def convert_all(convert, feats, out_dir):
     return converted
 
 
+def fit(pairs, config, out_dir):
+    """Train the converter pair on `pairs` and write `<out_dir>/model.ckpt`
+    and `<out_dir>/loss.tsv`; returns (model, loss curve)."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    model, curve = train(pairs, config)
+    save_checkpoint(model, out_dir / "model.ckpt")
+    write_loss_curve(curve, out_dir / "loss.tsv")
+    return model, curve
+
+
+def distance_map(sets, out_dir):
+    """MCD plane of the role -> features mapping `sets`, written to
+    `<out_dir>/plane.tsv` and `<out_dir>/plane.svg`; returns the plane."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    plane = mcd_plane(**sets)
+    write_plane_tsv(plane, out_dir / "plane.tsv")
+    write_plane_svg(plane, out_dir / "plane.svg")
+    return plane
+
+
 def render(feats, out_dir):
     """Resynthesize each feature set to `<out_dir>/<utt_id>.wav`, clipped to
     [-1, 1]; returns the WAV paths."""
@@ -233,11 +255,7 @@ def run_end_to_end(wav_dir, work_dir, train_config=None, degrade_config=None):
         )
 
     with _stage("train"):
-        pairs = pair_dataset(manifest_path)
-        model, curve = train(pairs, train_config)
-        model_path = work / "model.ckpt"
-        save_checkpoint(model, model_path)
-        write_loss_curve(curve, work / "loss.tsv")
+        model, curve = fit(pair_dataset(manifest_path), train_config, work)
 
     test_sets = {
         "natural": [natural[u] for u in test_ids],
@@ -253,9 +271,7 @@ def run_end_to_end(wav_dir, work_dir, train_config=None, degrade_config=None):
         )
 
     with _stage("plane"):
-        plane = mcd_plane(**test_sets)
-        write_plane_tsv(plane, work / "plane.tsv")
-        write_plane_svg(plane, work / "plane.svg")
+        plane = distance_map(test_sets, work)
 
     with _stage("scenarios"):
         for role in dict.fromkeys(test_on for _, test_on in SCENARIOS.values()):
@@ -267,7 +283,7 @@ def run_end_to_end(wav_dir, work_dir, train_config=None, degrade_config=None):
 
     summary = {
         "work_dir": work,
-        "model_path": model_path,
+        "model_path": work / "model.ckpt",
         "report_path": work / "report.txt",
         "loss_curve": curve,
         "train_ids": train_ids,

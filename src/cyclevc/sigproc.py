@@ -67,6 +67,13 @@ class WarpedCepstrumCodec:
         return (recon[i0] * (1.0 - frac) + recon[i0 + 1] * frac).T
 
 
+def pulse_positions(f0, fs):
+    """Sample indices of the pulses of a train whose frequency at sample i is
+    f0[i] Hz: one pulse each time the phase, started at 0.5, passes an integer."""
+    phase = np.cumsum(f0 / fs) + 0.5
+    return np.flatnonzero(np.diff(np.floor(np.concatenate([[0.0], phase]))) >= 1)
+
+
 # a dip of the normalized difference below this marks a period candidate
 YIN_THRESHOLD = 0.15
 

@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import ConfigError, InputError, PairingError, TrainingError
 from .features import (
-    MAX_FRAME_MISMATCH,
     UtteranceFeatures,
+    align_frames,
     atomic_open,
     compute_norm_stats,
     normalize,
@@ -60,34 +60,12 @@ class PairedUtterance:
     trimmed_frames: int = 0
 
 
-def _trim(feat, n):
-    if feat.n_frames == n:
-        return feat
-    return UtteranceFeatures(
-        utt_id=feat.utt_id,
-        mcep=feat.mcep[:n],
-        lf0=feat.lf0[:n],
-        uv=feat.uv[:n],
-        cap=feat.cap[:n],
-    )
-
-
 def pair_features(utt_id, source, target):
-    """Align one pair, trimming a mismatch of at most MAX_FRAME_MISMATCH."""
-    diff = abs(source.n_frames - target.n_frames)
-    if diff > MAX_FRAME_MISMATCH:
-        raise PairingError(
-            f"{utt_id}: temporal mismatch, frame counts differ by {diff} "
-            f"(source {source.n_frames}, target {target.n_frames}); "
-            f"at most {MAX_FRAME_MISMATCH} can be trimmed"
-        )
-    n = min(source.n_frames, target.n_frames)
-    return PairedUtterance(
-        utt_id=utt_id,
-        source=_trim(source, n),
-        target=_trim(target, n),
-        trimmed_frames=diff,
-    )
+    """Pair one utterance's synthetic source and natural target, aligned by
+    `features.align_frames`."""
+    trimmed = abs(source.n_frames - target.n_frames)
+    source, target = align_frames(utt_id, source, target)
+    return PairedUtterance(utt_id, source, target, trimmed_frames=trimmed)
 
 
 def pair_dataset(manifest_path):

@@ -1,6 +1,9 @@
 """Command-line behaviour: exit codes, config files, and the full tool chain."""
 
 import dataclasses
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,7 +111,7 @@ def test_internal_failures_are_exit_two(tmp_path, capsys, monkeypatch):
     def boom(args):
         raise RuntimeError("kaput")
 
-    monkeypatch.setitem(cli._HANDLERS, "fixture", boom)
+    monkeypatch.setattr(cli, "_cmd_fixture", boom)
     rc = cli.main(["fixture", "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "internal error" in capsys.readouterr().err
@@ -116,7 +119,7 @@ def test_internal_failures_are_exit_two(tmp_path, capsys, monkeypatch):
     def training_boom(args):
         raise TrainingError("diverged")
 
-    monkeypatch.setitem(cli._HANDLERS, "fixture", training_boom)
+    monkeypatch.setattr(cli, "_cmd_fixture", training_boom)
     rc = cli.main(["fixture", "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "internal error: diverged" in capsys.readouterr().err
@@ -146,7 +149,7 @@ def test_config_file_sets_defaults_but_flags_win(tmp_path, capsys):
             str(cfg),
             "--features-dir",
             str(feats),
-            "--out",
+            "--out-dir",
             str(tmp_path / "syn"),
             "--noise-std",
             "0.1",
@@ -163,7 +166,7 @@ def test_unknown_config_key_is_exit_one(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus_key=1\n")
     rc = cli.main(
-        ["simulate", "--config", str(cfg), "--features-dir", "x", "--out", "y"]
+        ["simulate", "--config", str(cfg), "--features-dir", "x", "--out-dir", "y"]
     )
     assert rc == 1
     err = capsys.readouterr().err
@@ -184,7 +187,7 @@ def test_untypable_config_value_is_exit_one(tmp_path, capsys):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("smooth_window=abc\n")
     rc = cli.main(
-        ["simulate", "--config", str(cfg), "--features-dir", "x", "--out", "y"]
+        ["simulate", "--config", str(cfg), "--features-dir", "x", "--out-dir", "y"]
     )
     assert rc == 1
     assert "config key smooth_window" in capsys.readouterr().err
@@ -194,7 +197,7 @@ def test_malformed_config_line_is_exit_one(tmp_path, capsys):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("this is not a pair\n")
     rc = cli.main(
-        ["simulate", "--config", str(cfg), "--features-dir", "x", "--out", "y"]
+        ["simulate", "--config", str(cfg), "--features-dir", "x", "--out-dir", "y"]
     )
     assert rc == 1
     assert "expected key=value" in capsys.readouterr().err
@@ -204,7 +207,7 @@ def test_non_utf8_config_file_is_exit_one(tmp_path, capsys):
     cfg = tmp_path / "sim.cfg"
     cfg.write_bytes(b"noise-std = 0.01 # \xff\xfe\n")
     rc = cli.main(
-        ["simulate", "--config", str(cfg), "--features-dir", "x", "--out", "y"]
+        ["simulate", "--config", str(cfg), "--features-dir", "x", "--out-dir", "y"]
     )
     assert rc == 1
     assert "cannot read config file" in capsys.readouterr().err
@@ -265,7 +268,7 @@ def test_train_requires_an_output_destination(tmp_path, capsys):
     manifest.write_text("")
     rc = cli.main(["train", "--manifest", str(manifest)])
     assert rc == 1
-    assert "needs --model-out or --out-dir" in capsys.readouterr().err
+    assert "--out-dir" in capsys.readouterr().err
 
 
 def test_manifest_command_rejects_one_sided_utterances(tmp_path, capsys):
@@ -294,9 +297,25 @@ def test_manifest_command_rejects_one_sided_utterances(tmp_path, capsys):
     assert "one side only: b" in capsys.readouterr().err
 
 
+def test_manifest_paths_resolve_from_the_manifest_directory(tmp_path, capsys, monkeypatch):
+    from conftest import make_features
+    from cyclevc.features import write_features
+
+    monkeypatch.chdir(tmp_path)
+    for side in ("natural", "synthetic"):
+        Path(side).mkdir()
+        for u in ("utt000", "utt001"):
+            write_features(make_features(u, 30), Path(side) / f"{u}.cvf")
+    argv = ["manifest", "--natural-dir", "natural", "--synthetic-dir", "synthetic"]
+    assert cli.main([*argv, "--out", "run/pairs.tsv"]) == 0
+    rc = cli.main(["train", "--manifest", "run/pairs.tsv", "--out-dir", "run", "--epochs", "1"])
+    assert rc == 0, capsys.readouterr().err
+    assert Path("run/model.ckpt").is_file()
+
+
 def test_plane_needs_two_sets(tmp_path, capsys):
     feats = _feature_dir(tmp_path)
-    rc = cli.main(["plane", "--natural-dir", str(feats)])
+    rc = cli.main(["plane", "--natural-dir", str(feats), "--out-dir", str(tmp_path / "maps")])
     assert rc == 1
     assert "at least two" in capsys.readouterr().err
 
@@ -315,7 +334,7 @@ def test_cli_tool_chain(tmp_path, corpus3, capsys):
     assert len(list(natural.glob("*.cvf"))) == 3
 
     assert cli.main(
-        ["simulate", "--features-dir", str(natural), "--out", str(synthetic)]
+        ["simulate", "--features-dir", str(natural), "--out-dir", str(synthetic)]
     ) == 0
     assert len(list(synthetic.glob("*.cvf"))) == 3
 
@@ -426,6 +445,14 @@ def test_end_to_end_dry_run_plans_without_touching_anything(tmp_path, capsys):
     assert not work.exists()
 
 
+def test_end_to_end_dry_run_validates_the_configs(tmp_path, capsys):
+    work = tmp_path / "work"
+    argv = ["end-to-end", "--wav-dir", "x", "--work-dir", str(work), "--epochs", "0"]
+    assert cli.main([*argv, "--dry-run"]) == 1
+    assert "epochs must be >= 1" in capsys.readouterr().err
+    assert not work.exists()
+
+
 def test_end_to_end_cli_prints_the_report(tmp_path, corpus3, capsys):
     work = tmp_path / "work"
     rc = cli.main(
@@ -446,6 +473,20 @@ def test_end_to_end_cli_prints_the_report(tmp_path, corpus3, capsys):
     assert "ordering mcd_enhanced_natural < mcd_synthetic_natural:" in out
     assert (work / "report.txt").is_file()
     assert (work / "plane.svg").is_file()
+
+
+# ----- the README's command lines ---------------------------------------------------
+
+
+def test_every_readme_command_line_parses():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    fences = re.findall(r"```sh\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    lines = "\n".join(fences).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines if line.startswith("cyclevc ")]
+    parser, parsers = cli._build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])  # a ConfigError names the offending option
+    assert {argv[1] for argv in commands} == set(parsers)
 
 
 # ----- options come from the config dataclasses ----------------------------------------
