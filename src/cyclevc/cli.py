@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Every subcommand accepts --config pointing at a flat key=value file whose
-keys are the subcommand's option names (underscored); explicit flags win
-over config values, and unknown keys are an error. The effective settings
-are echoed line-by-line before the run so logs capture exactly what ran.
+keys are the subcommand's option names (underscored), required ones
+included; explicit flags win over config values, and unknown keys are an
+error. The effective settings are echoed line-by-line before the run so
+logs capture exactly what ran.
 
 Exit codes: 0 success, 1 bad input or configuration, 2 internal failure.
 """
@@ -146,37 +147,40 @@ _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
 
-def _apply_config(parser, sub, argv, args):
-    values = _read_config_file(args.config)
-    actions = {
-        a.dest: a
-        for a in sub._actions
-        if a.dest not in ("help", "config", "command")
-    }
+def _apply_config(command, sub, path):
+    """Make each value of the config file at `path` the default of its option
+    in the subcommand parser `sub`; an option the file sets is not required."""
+    values = _read_config_file(path)
+    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
     unknown = sorted(set(values) - set(actions))
     if unknown:
-        raise ConfigError(
-            f"unknown config keys for {args.command!r}: {', '.join(unknown)}"
-        )
-    typed = {}
+        raise ConfigError(f"unknown config keys for {command!r}: {', '.join(unknown)}")
     for key, raw in values.items():
         action = actions[key]
         if isinstance(action, argparse._StoreTrueAction):
-            low = raw.lower()
-            if low in _TRUE:
-                typed[key] = True
-            elif low in _FALSE:
-                typed[key] = False
-            else:
+            if raw.lower() not in _TRUE | _FALSE:
                 raise ConfigError(f"config key {key}: expected a boolean, got {raw!r}")
+            value = raw.lower() in _TRUE
         elif action.type is not None:
             try:
-                typed[key] = action.type(raw)
+                value = action.type(raw)
             except ValueError as exc:
                 raise ConfigError(f"config key {key}: {exc}") from exc
         else:
-            typed[key] = raw
-    sub.set_defaults(**typed)
+            value = raw
+        action.default = value
+        action.required = False
+
+
+def _parse_args(argv):
+    """Parse the command line once, after a --config file, found by a
+    pre-parser, has set the defaults of its subcommand's options."""
+    parser, parsers = _build_parser()
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path and argv[0] in parsers:
+        _apply_config(argv[0], parsers[argv[0]], path)
     return parser.parse_args(argv)
 
 
@@ -221,7 +225,6 @@ def _cmd_manifest(args):
         raise InputError(f"utterances present on one side only: {', '.join(missing)}")
     # read_manifest resolves relative paths against the manifest's directory
     base = os.path.dirname(os.path.abspath(args.out))
-    os.makedirs(base, exist_ok=True)
     records = [
         (u, os.path.relpath(nat[u], base), os.path.relpath(syn[u], base)) for u in sorted(nat)
     ]
@@ -314,10 +317,7 @@ def _cmd_end_to_end(args):
 
 
 def _run(argv):
-    parser, parsers = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        args = _apply_config(parser, parsers[args.command], argv, args)
+    args = _parse_args(argv)
     _echo(args)
     return args.handler(args)
 

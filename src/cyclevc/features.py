@@ -140,9 +140,10 @@ def align_frames(utt_id, a, b):
 
 @contextmanager
 def atomic_open(path, mode="wb", **kwargs):
-    """Open a temp file beside `path` for writing; on a clean exit it replaces
-    `path` (os.replace), on an error it is removed. Readers see the old file
-    or the whole new one, never a partial write."""
+    """Open a temp file beside `path` for writing, creating its directory; on
+    a clean exit it replaces `path` (os.replace), on an error it is removed.
+    Readers see the old file or the whole new one, never a partial write."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, mode, **kwargs) as fh:

@@ -106,7 +106,6 @@ def make_corpus(out_dir, n_utterances=DEFAULT_UTTERANCES, seed=DEFAULT_SEED):
     if n_utterances < 1:
         raise ConfigError("n_utterances must be >= 1")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     root = np.random.SeedSequence(seed)
     paths = []
     for i, child in enumerate(root.spawn(n_utterances)):

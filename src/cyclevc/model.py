@@ -95,18 +95,10 @@ class CycleVCModel:
     def init(cls, arch, norm_src, norm_tgt, seed, dtype=np.float32):
         """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) init, seeded."""
         rng = np.random.Generator(np.random.PCG64(seed))
-        shapes = param_shapes(arch)
         params = {}
-        for name, shape in shapes.items():
-            if name.endswith(".b"):
-                fan_in = shapes[name[:-2] + ".W"][-1]
-            elif name.endswith(".bW"):
-                fan_in = shapes[name[:-2] + "Wg"][-1]
-            elif name.endswith(".bU"):
-                fan_in = shapes[name[:-2] + "Ug"][-1]
-            else:
-                fan_in = shape[-1]
-            bound = 1.0 / np.sqrt(fan_in)
+        for name, shape in param_shapes(arch).items():
+            if len(shape) == 2:  # a weight; the bias declared next shares its fan-in
+                bound = 1.0 / np.sqrt(shape[1])
             params[name] = rng.uniform(-bound, bound, size=shape).astype(dtype)
         return cls(arch=arch, params=params, norm_src=norm_src, norm_tgt=norm_tgt, dtype=dtype)
 
@@ -358,13 +350,6 @@ def stot_forward(model, x_norm):
     return y
 
 
-def ttos_forward(model, y_norm):
-    """Target-to-source conversion on a normalized target sequence."""
-    y = _validate_seq(y_norm, model.arch.in_dim, "target sequence")
-    out, _ = _net_forward(model, "g", y)
-    return out
-
-
 def splice_prosody(mcep_norm, y_norm, norm_src, norm_tgt):
     """Attach the prosody dims of a target-normalized sequence to converted
     mel-cepstra, re-expressing them in source normalization so the spliced
@@ -375,13 +360,19 @@ def splice_prosody(mcep_norm, y_norm, norm_src, norm_tgt):
     return np.concatenate([mcep_norm, as_src.astype(mcep_norm.dtype)], axis=1)
 
 
+def _cycle(model, y, want_cache=False):
+    """f(splice(g(Y), Y)) of a validated target sequence, in the model's
+    dtype; returns (output, cache of g, cache of the cycle's f)."""
+    y = np.ascontiguousarray(y, dtype=model.dtype)
+    back, cache_g = _net_forward(model, "g", y, want_cache)
+    spliced = splice_prosody(back, y, model.norm_src, model.norm_tgt)
+    out, cache_f2 = _net_forward(model, "f", spliced, want_cache)
+    return out, cache_g, cache_f2
+
+
 def cycle_path(model, y_norm):
     """Self-conversion f(splice(g(Y), Y)) of a normalized target sequence."""
-    y = _validate_seq(y_norm, model.arch.in_dim, "target sequence")
-    back = ttos_forward(model, y)
-    spliced = splice_prosody(back, y, model.norm_src, model.norm_tgt)
-    out, _ = _net_forward(model, "f", spliced)
-    return out
+    return _cycle(model, _validate_seq(y_norm, model.arch.in_dim, "target sequence"))[0]
 
 
 @dataclass(frozen=True)
@@ -397,51 +388,40 @@ class LossBreakdown:
         object.__setattr__(self, "total", self.stot_l1 + self.rho * self.cycle_l1)
 
 
-def _check_pair(model, x_norm, y_norm):
+def _objective(model, x_norm, y_norm, rho, teacher_forcing, want_cache):
+    """The joint objective on one normalized pair. Returns the breakdown, the
+    float64 residuals f(X) - Y and f(splice(g(Y), Y)) - Y (mcep dims), and
+    the caches (f(X), g, cycle f), which are None unless `want_cache`."""
     x = _validate_seq(x_norm, model.arch.in_dim, "source sequence")
     y = _validate_seq(y_norm, model.arch.in_dim, "target sequence")
     if x.shape[0] != y.shape[0]:
         raise PairingError(
             f"paired sequences must have equal frame counts, got {x.shape[0]} vs {y.shape[0]}"
         )
-    return x, y
+    if rho < 0:
+        raise ConfigError("rho must be non-negative")
+    y = np.ascontiguousarray(y, dtype=model.dtype)
+    y_mc = y[:, :MCEP_DIM]
+    f_x, cache_f1 = _net_forward(model, "f", x, want_cache, y_mc if teacher_forcing else None)
+    y_cycle, cache_g, cache_f2 = _cycle(model, y, want_cache)
+    r1 = f_x.astype(np.float64) - y_mc.astype(np.float64)
+    r2 = y_cycle.astype(np.float64) - y_mc.astype(np.float64)
+    stot, cyc = (float(np.mean(np.abs(r))) for r in (r1, r2))
+    breakdown = LossBreakdown(stot_l1=stot, cycle_l1=cyc, rho=rho)
+    return breakdown, r1, r2, (cache_f1, cache_g, cache_f2)
 
 
 def cycle_loss(model, x_norm, y_norm, rho=RHO_DEFAULT):
     """Joint objective on one normalized pair (no gradients)."""
-    x, y = _check_pair(model, x_norm, y_norm)
-    y_mc = np.asarray(y, dtype=model.dtype)[:, :MCEP_DIM]
-    f_x, _ = _net_forward(model, "f", x)
-    y_cycle = cycle_path(model, y)
-    stot = float(np.mean(np.abs(f_x.astype(np.float64) - y_mc.astype(np.float64))))
-    cyc = float(np.mean(np.abs(y_cycle.astype(np.float64) - y_mc.astype(np.float64))))
-    return LossBreakdown(stot_l1=stot, cycle_l1=cyc, rho=rho)
+    return _objective(model, x_norm, y_norm, rho, teacher_forcing=False, want_cache=False)[0]
 
 
 def loss_gradients(model, x_norm, y_norm, rho=RHO_DEFAULT, teacher_forcing=False):
     """Joint objective and analytic parameter gradients for one pair."""
-    x, y = _check_pair(model, x_norm, y_norm)
-    if rho < 0:
-        raise ConfigError("rho must be non-negative")
-    n = x.shape[0]
-    y = np.ascontiguousarray(y, dtype=model.dtype)
-    y_mc = y[:, :MCEP_DIM]
-
-    teacher = y_mc if teacher_forcing else None
-    f_x, cache_f1 = _net_forward(model, "f", x, want_cache=True, teacher=teacher)
-    g_y, cache_g = _net_forward(model, "g", y, want_cache=True)
-    spliced = splice_prosody(g_y, y, model.norm_src, model.norm_tgt)
-    y_cycle, cache_f2 = _net_forward(model, "f", spliced, want_cache=True)
-
-    r1 = f_x.astype(np.float64) - y_mc.astype(np.float64)
-    r2 = y_cycle.astype(np.float64) - y_mc.astype(np.float64)
-    breakdown = LossBreakdown(
-        stot_l1=float(np.mean(np.abs(r1))),
-        cycle_l1=float(np.mean(np.abs(r2))),
-        rho=rho,
+    breakdown, r1, r2, (cache_f1, cache_g, cache_f2) = _objective(
+        model, x_norm, y_norm, rho, teacher_forcing, want_cache=True
     )
-
-    scale = 1.0 / (n * MCEP_DIM)
+    scale = 1.0 / r1.size
     d1 = (np.sign(r1) * scale).astype(model.dtype)
     grads, _ = _net_backward(model, "f", cache_f1, d1)
     if rho > 0.0:

@@ -61,7 +61,6 @@ def enhance(model, source_feat):
 def extract(wav_paths, out_dir):
     """Analyze 24 kHz WAVs into `<out_dir>/<stem>.cvf`; returns the features."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     feats = []
     for path in map(Path, wav_paths):
         samples, fs = read_wav(path)
@@ -77,7 +76,6 @@ def convert_all(convert, feats, out_dir):
     """Write `convert(feat)` to `<out_dir>/<utt_id>.cvf` for each feature in
     turn (simulate, pseudo, enhance); returns the converted features."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     converted = []
     for feat in feats:
         result = convert(feat)
@@ -90,7 +88,6 @@ def fit(pairs, config, out_dir):
     """Train the converter pair on `pairs` and write `<out_dir>/model.ckpt`
     and `<out_dir>/loss.tsv`; returns (model, loss curve)."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     model, curve = train(pairs, config)
     save_checkpoint(model, out_dir / "model.ckpt")
     write_loss_curve(curve, out_dir / "loss.tsv")
@@ -101,7 +98,6 @@ def distance_map(sets, out_dir):
     """MCD plane of the role -> features mapping `sets`, written to
     `<out_dir>/plane.tsv` and `<out_dir>/plane.svg`; returns the plane."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     plane = mcd_plane(**sets)
     write_plane_tsv(plane, out_dir / "plane.tsv")
     write_plane_svg(plane, out_dir / "plane.svg")
@@ -112,7 +108,6 @@ def render(feats, out_dir):
     """Resynthesize each feature set to `<out_dir>/<utt_id>.wav`, clipped to
     [-1, 1]; returns the WAV paths."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     wav_paths = []
     for feat in feats:
         wav = acoustics.synthesize(feat, acoustics.FS)

@@ -162,6 +162,19 @@ def test_config_file_sets_defaults_but_flags_win(tmp_path, capsys):
     assert (tmp_path / "syn" / "u0.cvf").is_file()
 
 
+def test_config_file_can_supply_required_options(tmp_path, capsys):
+    feats = _feature_dir(tmp_path)
+    cfg = tmp_path / "req.cfg"
+    cfg.write_text(f"features_dir = {feats}\nout_dir = {tmp_path / 'syn'}\n")
+    assert cli.main(["simulate", "--config", str(cfg)]) == 0
+    assert f"[config] out_dir={tmp_path / 'syn'}" in capsys.readouterr().out
+    assert (tmp_path / "syn" / "u0.cvf").is_file()
+    # an option required by neither the file nor the command line still fails
+    cfg.write_text(f"features_dir = {feats}\n")
+    assert cli.main(["simulate", "--config", str(cfg)]) == 1
+    assert "required: --out-dir" in capsys.readouterr().err
+
+
 def test_unknown_config_key_is_exit_one(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus_key=1\n")

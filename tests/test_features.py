@@ -160,6 +160,10 @@ def test_file_round_trip_is_bit_exact(tmp_path):
     back = read_features(path)
     assert back.utt_id == "roundtrip"
     assert back.full_frames().tobytes() == feat.full_frames().tobytes()
+    # the writer creates missing directories on the way
+    nested = tmp_path / "new" / "deeper" / "roundtrip.cvf"
+    write_features(feat, nested)
+    assert nested.read_bytes() == path.read_bytes()
 
 
 def test_rewriting_read_features_gives_identical_bytes(tmp_path):

@@ -108,9 +108,8 @@ def _check_wav(path):
 
 
 def _check_config(path):
-    parser, parsers = cli._build_parser()
     argv = ["simulate", "--features-dir", "f", "--out-dir", "o", "--config", str(path)]
-    args = cli._apply_config(parser, parsers["simulate"], argv, parser.parse_args(argv))
+    args = cli._parse_args(argv)
     assert args.features_dir == "f" and args.out_dir == "o"
 
 
