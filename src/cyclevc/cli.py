@@ -206,7 +206,6 @@ def _cmd_extract(args):
         raise InputError(f"no WAV files in {args.wav_dir}")
     extract(wavs, args.out_dir)
     print(f"extracted {len(wavs)} utterances -> {args.out_dir}")
-    return 0
 
 
 def _cmd_simulate(args):
@@ -214,7 +213,6 @@ def _cmd_simulate(args):
     feats = _load_set(args.features_dir, "features")
     convert_all(lambda f: simulate_tts(f, config), feats, args.out_dir)
     print(f"simulated {len(feats)} utterances -> {args.out_dir}")
-    return 0
 
 
 def _cmd_manifest(args):
@@ -230,21 +228,20 @@ def _cmd_manifest(args):
     ]
     write_manifest(records, args.out)
     print(f"wrote {len(nat)} pairs -> {args.out}")
-    return 0
 
 
 def _cmd_train(args):
+    config = _config(TrainConfig, args)
     pairs = pair_dataset(args.manifest)
     for line in pairing_report(pairs):
         print(f"[pairing] {line}")
-    _, curve = fit(pairs, _config(TrainConfig, args), args.out_dir)
+    _, curve = fit(pairs, config, args.out_dir)
     last = curve[-1]
     print(
         f"trained on {len(pairs)} utterances; "
         f"final stot_l1={last.stot_l1:.6f} cycle_l1={last.cycle_l1:.6f}"
     )
     print(f"model and loss curve -> {args.out_dir}")
-    return 0
 
 
 def _convert_dir(args, convert):
@@ -257,26 +254,22 @@ def _convert_dir(args, convert):
 def _cmd_pseudo(args):
     count = _convert_dir(args, generate_pseudo)
     print(f"pseudo features for {count} utterances -> {args.out_dir}")
-    return 0
 
 
 def _cmd_enhance(args):
     count = _convert_dir(args, enhance)
     print(f"enhanced features for {count} utterances -> {args.out_dir}")
-    return 0
 
 
 def _cmd_synth(args):
     feats = _load_set(args.features_dir, "features")
     render(feats, args.out_dir)
     print(f"synthesized {len(feats)} utterances -> {args.out_dir}")
-    return 0
 
 
 def _cmd_mcd(args):
     value = mcd_set(_load_set(args.set_a, "set-a"), _load_set(args.set_b, "set-b"))
     print(f"mcd_db={value:.6f}")
-    return 0
 
 
 def _cmd_plane(args):
@@ -290,13 +283,11 @@ def _cmd_plane(args):
                 f"{result.distances[i, j]:.3f}"
             )
     print(f"stress={result.stress:.6f}")
-    return 0
 
 
 def _cmd_fixture(args):
     paths = fixture.make_corpus(args.out_dir, n_utterances=args.count, seed=args.seed)
     print(f"wrote {len(paths)} utterances to {args.out_dir}")
-    return 0
 
 
 def _cmd_end_to_end(args):
@@ -305,7 +296,7 @@ def _cmd_end_to_end(args):
     if args.dry_run:
         for step, stage in enumerate(END_TO_END_STAGES, 1):
             print(f"[plan] {step}. {stage}")
-        return 0
+        return
     summary = run_end_to_end(
         args.wav_dir, args.work_dir, train_config=train_config, degrade_config=degrade_config
     )
@@ -313,13 +304,13 @@ def _cmd_end_to_end(args):
     for line in report.rstrip("\n").splitlines():
         print(f"[report] {line}")
     print(f"[report] written to {summary['report_path']}")
-    return 0
 
 
 def _run(argv):
     args = _parse_args(argv)
     _echo(args)
-    return args.handler(args)
+    args.handler(args)
+    return 0
 
 
 def main(argv=None):

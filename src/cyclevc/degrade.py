@@ -9,6 +9,7 @@ untouched, so each degraded utterance stays frame-aligned with its natural
 counterpart (the pairing a converter needs for training).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,14 +42,14 @@ class DegradeConfig:
             raise ConfigError(
                 f"variance_scale must be in [0, 1], got {self.variance_scale!r}"
             )
-        if self.noise_std < 0:
-            raise ConfigError(f"noise_std must be non-negative, got {self.noise_std!r}")
+        if not 0 <= self.noise_std < math.inf:
+            raise ConfigError(f"noise_std must be non-negative and finite, got {self.noise_std!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed!r}")
 
 
 def _moving_average(x, window):
     """Centered moving average over axis 0 with edge replication."""
-    if window == 1:
-        return x
     half = window // 2
     pad = np.concatenate([np.repeat(x[:1], half, 0), x, np.repeat(x[-1:], half, 0)])
     kernel = np.ones(window) / window

@@ -17,12 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, PairingError, ShapeError
-from .features import MCEP_DIM, align_frames, atomic_open
+from .features import MCEP_DIM, align_frames, write_atomic
 
 MCD_COEF = 10.0 * np.sqrt(2.0) / np.log(10.0)
 
 # the four feature-set roles, in the order the plane and its reports list them
 ROLES = ("natural", "synthetic", "pseudo", "enhanced")
+
+
+def _mcd_rows(a, b):
+    """Per-row MCD in dB between two (n, 45) mel-cepstral matrices."""
+    diff = np.asarray(a, dtype=np.float64)[:, 1:] - np.asarray(b, dtype=np.float64)[:, 1:]
+    return MCD_COEF * np.sqrt(np.sum(diff * diff, axis=1))
 
 
 def mcd_frame(c_a, c_b):
@@ -31,8 +37,7 @@ def mcd_frame(c_a, c_b):
     b = np.asarray(c_b, dtype=np.float64)
     if a.shape != (MCEP_DIM,) or b.shape != (MCEP_DIM,):
         raise ShapeError(f"mcd_frame expects ({MCEP_DIM},) vectors, got {a.shape} and {b.shape}")
-    diff = a[1:] - b[1:]
-    return float(MCD_COEF * np.sqrt(np.dot(diff, diff)))
+    return float(_mcd_rows(a[None], b[None])[0])
 
 
 def mcd_utterance(feat_a, feat_b):
@@ -42,8 +47,7 @@ def mcd_utterance(feat_a, feat_b):
     longer utterance is ignored.
     """
     a, b = align_frames(feat_a.utt_id, feat_a, feat_b)
-    diff = a.mcep[:, 1:].astype(np.float64) - b.mcep[:, 1:].astype(np.float64)
-    return float(np.mean(MCD_COEF * np.sqrt(np.sum(diff * diff, axis=1))))
+    return float(np.mean(_mcd_rows(a.mcep, b.mcep)))
 
 
 def mcd_set(set_a, set_b):
@@ -109,25 +113,22 @@ class MCDPlaneResult:
     stress: float
 
 
-def mcd_plane(natural=None, synthetic=None, pseudo=None, enhanced=None):
-    """Pairwise set MCDs between the provided feature sets, embedded in 2-D.
+def mcd_plane(**sets):
+    """Pairwise set MCDs between feature sets given by role, embedded in 2-D.
 
-    Any subset of the four roles may be given; at least two are required.
+    Any subset of the ROLES may be given, at least two; labels follow ROLES.
     """
-    provided = [
-        (label, feats)
-        for label, feats in zip(ROLES, (natural, synthetic, pseudo, enhanced))
-        if feats is not None
-    ]
-    if len(provided) < 2:
+    unknown = sorted(set(sets) - set(ROLES))
+    if unknown:
+        raise InputError(f"unknown roles {', '.join(unknown)}; expected {', '.join(ROLES)}")
+    labels = tuple(role for role in ROLES if role in sets)
+    if len(labels) < 2:
         raise InputError("mcd_plane needs at least two feature sets")
-    labels = tuple(label for label, _ in provided)
-    sets = [feats for _, feats in provided]
-    n = len(sets)
+    n = len(labels)
     dist = np.zeros((n, n), dtype=np.float64)
     for i in range(n):
         for j in range(i + 1, n):
-            dist[i, j] = dist[j, i] = mcd_set(sets[i], sets[j])
+            dist[i, j] = dist[j, i] = mcd_set(sets[labels[i]], sets[labels[j]])
     coords, stress = embed_distances(dist)
     return MCDPlaneResult(labels=labels, distances=dist, coords=coords, stress=stress)
 
@@ -144,8 +145,7 @@ def write_plane_tsv(result, path):
     for label, (x, y) in zip(result.labels, result.coords):
         lines.append(f"{label}\t{x:.3f}\t{y:.3f}")
     lines.append(f"# stress\t{result.stress:.6f}")
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 _SVG_COLORS = dict(zip(ROLES, ("#1a7f37", "#b35900", "#7b2d8b", "#0b5fa5")))
@@ -199,5 +199,4 @@ def write_plane_svg(result, path):
         f"edge labels: set MCD (dB); stress {result.stress:.6f}</text>"
     )
     parts.append("</svg>")
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    write_atomic(path, "\n".join(parts) + "\n")

@@ -9,13 +9,13 @@ Feature file (little-endian): magic "CVF1", u32 version=1, u32 n_frames,
 u32 n_dims=50, u32 frame_shift_us=5000, u32 reserved=0, then
 n_frames x 50 float32 rows in the layout above. All in-memory arrays are
 float32 so a write/read round trip is bit-exact. Artifacts are written
-atomically (`atomic_open`).
+atomically (`write_atomic`).
 """
 
 import os
 import struct
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -138,16 +138,18 @@ def align_frames(utt_id, a, b):
     return _head(a, n), _head(b, n)
 
 
-@contextmanager
-def atomic_open(path, mode="wb", **kwargs):
-    """Open a temp file beside `path` for writing, creating its directory; on
-    a clean exit it replaces `path` (os.replace), on an error it is removed.
-    Readers see the old file or the whole new one, never a partial write."""
+def write_atomic(path, data):
+    """Write `data` (bytes; a str is encoded as UTF-8) to `path`, creating its
+    directory: a temp file beside `path` replaces it (os.replace), and on an
+    error the temp file is removed. Readers see the old file or the whole new
+    one, never a partial write."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, mode, **kwargs) as fh:
-            yield fh
+        with open(tmp, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -158,9 +160,7 @@ def write_features(feat, path):
     """Write an UtteranceFeatures to the binary feature format."""
     frames = feat.full_frames().astype("<f4")
     header = _HEADER.pack(_MAGIC, _VERSION, feat.n_frames, N_DIMS, FRAME_SHIFT_US, 0)
-    with atomic_open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(frames.tobytes())
+    write_atomic(path, header + memoryview(frames))
 
 
 def read_features(path, utt_id=None):
@@ -191,9 +191,7 @@ def read_features(path, utt_id=None):
         )
     frames = np.frombuffer(body, dtype="<f4").reshape(n_frames, N_DIMS)
     if utt_id is None:
-        name = str(path)
-        stem = name.rsplit("/", 1)[-1]
-        utt_id = stem.rsplit(".", 1)[0] if "." in stem else stem
+        utt_id = Path(path).stem
     return UtteranceFeatures.from_full_frames(utt_id, frames)
 
 
@@ -242,9 +240,7 @@ def denormalize_mcep(mcep_norm, stats):
 
 def write_manifest(records, path):
     """Write pairing manifest lines: utt_id TAB natural_path TAB synthetic_path."""
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        for utt_id, natural, synthetic in records:
-            fh.write(f"{utt_id}\t{natural}\t{synthetic}\n")
+    write_atomic(path, "".join(f"{u}\t{nat}\t{syn}\n" for u, nat, syn in records))
 
 
 def read_manifest(path):

@@ -105,6 +105,8 @@ def make_corpus(out_dir, n_utterances=DEFAULT_UTTERANCES, seed=DEFAULT_SEED):
     """Write `n_utterances` seeded WAV files; returns the sorted paths."""
     if n_utterances < 1:
         raise ConfigError("n_utterances must be >= 1")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed!r}")
     out_dir = Path(out_dir)
     root = np.random.SeedSequence(seed)
     paths = []

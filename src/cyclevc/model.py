@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, FormatError, InputError, PairingError, ShapeError
-from .features import MCEP_DIM, N_DIMS, NormStats, atomic_open
+from .features import MCEP_DIM, N_DIMS, NormStats, write_atomic
 
 RHO_DEFAULT = 1e-8
 
@@ -120,8 +120,6 @@ def _validate_seq(x, dim, what):
 
 def _unfold_rows(pad, n, k):
     """Causal windows: row t = [x_(t-k+1) ... x_t] flattened, oldest first."""
-    if k == 1:
-        return pad[:n]
     return np.concatenate([pad[i : i + n] for i in range(k)], axis=1)
 
 
@@ -471,9 +469,7 @@ def save_checkpoint(model, path):
     blob = np.concatenate(
         [model.params[name].ravel() for name in param_shapes(model.arch)]
     ).astype("<f4")
-    with atomic_open(path, "wb") as fh:
-        fh.write(header.encode("utf-8"))
-        fh.write(blob.tobytes())
+    write_atomic(path, header.encode("utf-8") + memoryview(blob))
 
 
 def load_checkpoint(path):

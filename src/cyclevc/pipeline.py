@@ -33,7 +33,7 @@ from . import acoustics
 from .degrade import DegradeConfig, simulate_tts
 from .errors import ConfigError, CycleVCError, InputError
 from .evaluation import ROLES, mcd_plane, write_plane_svg, write_plane_tsv
-from .features import atomic_open, denormalize_mcep, normalize, write_features, write_manifest
+from .features import denormalize_mcep, normalize, write_atomic, write_features, write_manifest
 from .model import cycle_path, save_checkpoint, stot_forward
 from .training import TrainConfig, pair_dataset, train, write_loss_curve
 from .wavio import read_wav, write_wav
@@ -126,14 +126,12 @@ SCENARIOS = {
 }
 
 
-def split_train_test(utt_ids, test_fraction=0.2):
+def split_train_test(utt_ids):
     """Deterministic split: sorted ids, the last ~20% (at least one) held out."""
     ids = sorted(utt_ids)
     if len(ids) < 2:
         raise InputError("need at least two utterances to split train/test")
-    n_test = max(1, int(round(test_fraction * len(ids))))
-    if n_test >= len(ids):
-        raise InputError("test fraction leaves no training utterances")
+    n_test = max(1, int(round(0.2 * len(ids))))
     return ids[:-n_test], ids[-n_test:]
 
 
@@ -205,8 +203,7 @@ def write_report(summary, train_config, degrade_config, path):
         lines.append(
             f"ordering mcd_{small} < mcd_{big}: {verdict} (margin {margin:.6f} dB)"
         )
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def run_end_to_end(wav_dir, work_dir, train_config=None, degrade_config=None):
@@ -271,10 +268,10 @@ def run_end_to_end(wav_dir, work_dir, train_config=None, degrade_config=None):
     with _stage("scenarios"):
         for role in dict.fromkeys(test_on for _, test_on in SCENARIOS.values()):
             render(test_sets[role], work / "wavs" / role)
-        with atomic_open(work / "scenarios.tsv", "w", encoding="utf-8") as fh:
-            fh.write("scenario\ttrain_on\ttest_on\twaveforms\n")
-            for name, (train_on, test_on) in SCENARIOS.items():
-                fh.write(f"{name}\t{train_on}\t{test_on}\twavs/{test_on}\n")
+        rows = ["scenario\ttrain_on\ttest_on\twaveforms"]
+        for name, (train_on, test_on) in SCENARIOS.items():
+            rows.append(f"{name}\t{train_on}\t{test_on}\twavs/{test_on}")
+        write_atomic(work / "scenarios.tsv", "\n".join(rows) + "\n")
 
     summary = {
         "work_dir": work,

@@ -9,6 +9,7 @@ converter under plain gradient descent; Adam's per-parameter step
 normalization is what lets both converters learn from it.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,11 +18,11 @@ from .errors import ConfigError, InputError, PairingError, TrainingError
 from .features import (
     UtteranceFeatures,
     align_frames,
-    atomic_open,
     compute_norm_stats,
     normalize,
     read_features,
     read_manifest,
+    write_atomic,
 )
 from .model import (
     RHO_DEFAULT,
@@ -44,10 +45,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        if self.rho < 0:
-            raise ConfigError("rho must be non-negative")
-        if not self.learning_rate > 0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0 <= self.rho < math.inf:
+            raise ConfigError(f"rho must be non-negative and finite, got {self.rho!r}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -196,5 +199,4 @@ def write_loss_curve(curve, path):
         lines.append(
             f"{epoch}\t{breakdown.stot_l1:.9g}\t{breakdown.cycle_l1:.9g}\t{breakdown.total:.9g}"
         )
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")

@@ -4,12 +4,13 @@ Waveforms are exchanged as float arrays in [-1, 1]; this is the only waveform
 container the package reads or writes.
 """
 
+import io
 import wave
 
 import numpy as np
 
 from .errors import FormatError, InputError
-from .features import atomic_open
+from .features import write_atomic
 
 _PCM_SCALE = 32767.0
 
@@ -23,11 +24,13 @@ def write_wav(path, x, fs):
     if not np.all(np.isfinite(x)):
         raise InputError(f"{path}: waveform holds non-finite samples")
     pcm = np.clip(np.round(x * _PCM_SCALE), -32768, 32767).astype("<i2")
-    with atomic_open(path, "wb") as fh, wave.open(fh, "wb") as w:
+    buf = io.BytesIO()
+    with wave.open(buf, "wb") as w:
         w.setnchannels(1)
         w.setsampwidth(2)
         w.setframerate(int(fs))
         w.writeframes(pcm.tobytes())
+    write_atomic(path, buf.getvalue())
 
 
 def read_wav(path):

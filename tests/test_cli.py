@@ -12,7 +12,7 @@ from conftest import write_non_finite_checkpoint
 from cyclevc import cli
 from cyclevc.degrade import DegradeConfig
 from cyclevc.errors import TrainingError
-from cyclevc.features import read_features
+from cyclevc.features import read_features, write_manifest
 from cyclevc.training import TrainConfig
 from cyclevc.wavio import write_wav
 
@@ -456,6 +456,40 @@ def test_end_to_end_dry_run_plans_without_touching_anything(tmp_path, capsys):
     assert "[plan] 1. extract" in out
     assert "[plan] 9. report" in out
     assert not work.exists()
+
+
+@pytest.mark.parametrize(
+    "command, option, value, field",
+    [
+        ("train", "--seed", "-1", "seed"),
+        ("simulate", "--seed", "-1", "seed"),
+        ("end-to-end", "--sim-seed", "-1", "seed"),
+        ("fixture", "--seed", "-3", "seed"),
+        ("train", "--rho", "nan", "rho"),
+        ("train", "--rho", "inf", "rho"),
+        ("train", "--learning-rate", "inf", "learning_rate"),
+        ("simulate", "--noise-std", "nan", "noise_std"),
+    ],
+)
+def test_out_of_range_config_values_are_exit_one(
+    tmp_path, corpus3, capsys, command, option, value, field
+):
+    feats = _feature_dir(tmp_path)
+    manifest = tmp_path / "pairs.tsv"
+    write_manifest([("u0", "feats/u0.cvf", "feats/u0.cvf")], manifest)
+    out = str(tmp_path / "out")
+    inputs = {
+        "train": ["--manifest", str(manifest), "--out-dir", out],
+        "simulate": ["--features-dir", str(feats), "--out-dir", out],
+        "end-to-end": ["--wav-dir", str(corpus3), "--work-dir", out],
+        "fixture": ["--out-dir", out],
+    }
+    before = sorted(tmp_path.rglob("*"))
+    rc = cli.main([command, *inputs[command], option, value])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and field in err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_end_to_end_dry_run_validates_the_configs(tmp_path, capsys):

@@ -78,6 +78,15 @@ def test_frame_mcd_is_a_pseudometric(rng):
         assert ac <= ab + bc + 1e-9
 
 
+def test_utterance_mcd_of_one_frame_is_frame_mcd_bit_for_bit(rng):
+    # the headline numbers come from mcd_utterance, the unit and
+    # pseudometric guarantees are checked on mcd_frame
+    frames = rng.normal(0.0, 1.0, size=(1000, 2, 45)).astype(np.float32)
+    base = make_features("u", 1)
+    for a, b in frames:
+        assert mcd_utterance(base.with_mcep(a[None]), base.with_mcep(b[None])) == mcd_frame(a, b)
+
+
 def test_frame_mcd_rejects_wrong_shapes(rng):
     with pytest.raises(ShapeError, match="45"):
         mcd_frame(rng.normal(size=44), rng.normal(size=45))
@@ -234,6 +243,12 @@ def test_plane_accepts_any_two_roles_and_orders_labels():
     assert result.distances.shape == (2, 2)
     with pytest.raises(InputError, match="at least two"):
         mcd_plane(natural=natural)
+
+
+def test_plane_rejects_an_unknown_role():
+    natural, synthetic, _ = _three_role_sets()
+    with pytest.raises(InputError, match="unknown roles bogus"):
+        mcd_plane(natural=natural, bogus=synthetic)
 
 
 def test_plane_with_all_four_roles():

@@ -19,16 +19,17 @@ from cyclevc.features import (
     UV_INDEX,
     NormStats,
     UtteranceFeatures,
-    atomic_open,
     compute_norm_stats,
     denormalize_mcep,
     normalize,
     read_features,
     read_manifest,
+    write_atomic,
     write_features,
     write_manifest,
 )
-from cyclevc.model import save_checkpoint
+from cyclevc.model import LossBreakdown, save_checkpoint
+from cyclevc.training import write_loss_curve
 
 # ----- container validation -------------------------------------------------
 
@@ -377,6 +378,12 @@ def test_non_utf8_manifest_is_a_format_error(tmp_path):
         read_manifest(path)
 
 
+def test_read_features_names_the_utterance_by_the_file_stem(tmp_path):
+    for name, stem in (("u1.cvf", "u1"), ("a.b.cvf", "a.b"), (".cvf", ".cvf")):
+        write_features(make_features("x", 3), tmp_path / name)
+        assert read_features(tmp_path / name).utt_id == stem
+
+
 # ----- atomic writes ----------------------------------------------------------
 
 
@@ -390,12 +397,27 @@ def _fail_on_replace(monkeypatch):
 def test_a_write_that_fails_midway_keeps_the_old_file(tmp_path):
     path = tmp_path / "out.bin"
     path.write_bytes(b"previous")
-    with pytest.raises(RuntimeError, match="midway"):
-        with atomic_open(path) as fh:
-            fh.write(b"partial")
-            raise RuntimeError("midway")
+    # the temp file is open when the write of a non-bytes value raises
+    with pytest.raises(TypeError):
+        write_atomic(path, 12345)
     assert path.read_bytes() == b"previous"
     assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+
+def test_text_is_written_as_its_utf8_bytes_without_carriage_returns(tmp_path):
+    text = "u\tnat/ü.cvf\tsyn/ü.cvf\nline two\n"
+    write_atomic(tmp_path / "str.txt", text)
+    write_atomic(tmp_path / "bytes.txt", text.encode("utf-8"))
+    assert (tmp_path / "str.txt").read_bytes() == text.encode("utf-8")
+    assert (tmp_path / "bytes.txt").read_bytes() == text.encode("utf-8")
+
+    records = [("u", "nat/u.cvf", "syn/u.cvf"), ("v", "nat/v.cvf", "syn/v.cvf")]
+    write_manifest(records, tmp_path / "m.tsv")
+    write_loss_curve([LossBreakdown(stot_l1=0.5, cycle_l1=0.25, rho=0.5)], tmp_path / "loss.tsv")
+    for name in ("m.tsv", "loss.tsv"):
+        raw = (tmp_path / name).read_bytes()
+        assert raw.count(b"\n") >= 2
+        assert b"\r" not in raw
 
 
 def test_manifest_failing_midway_keeps_the_old_manifest(tmp_path):
