@@ -72,6 +72,8 @@ class UtteranceFeatures:
         n = self.mcep.shape[0]
         if self.mcep.ndim != 2 or self.mcep.shape[1] != MCEP_DIM:
             raise ShapeError(f"{self.utt_id}: mcep must be (n, {MCEP_DIM}), got {self.mcep.shape}")
+        if n == 0:
+            raise ShapeError(f"{self.utt_id}: features must have at least one frame")
         if self.lf0.shape != (n,):
             raise ShapeError(f"{self.utt_id}: lf0 length {self.lf0.shape} != n_frames {n}")
         if self.uv.shape != (n,):

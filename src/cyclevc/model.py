@@ -18,6 +18,14 @@ with f: the self-conversion cycle. Gradients are computed analytically in
 closed form (no autodiff dependency) with backpropagation through time,
 including the feedback path from each frame's output into the next frame's
 GRU input.
+
+One kernel (`_net_forward` / `_net_backward`) runs B sequences of equal
+length through one converter at once. Its histories are time-major and
+batch-minor, (n + k, d, B), so each per-frame product is one C-ordered
+weight (rows x d) @ (d x B) block. Conversion runs it with B = 1. A
+training step runs g(Y) at B = 1 and then both f terms as the two columns
+of one B = 2 pass over [X, splice(g(Y), Y)], and backward the same way:
+four frame loops per step instead of six.
 """
 
 import dataclasses
@@ -119,74 +127,103 @@ def _validate_seq(x, dim, what):
 
 
 def _unfold_rows(pad, n, k):
-    """Causal windows: row t = [x_(t-k+1) ... x_t] flattened, oldest first."""
-    return np.concatenate([pad[i : i + n] for i in range(k)], axis=1)
+    """Causal windows: row t = [x_(t-k+1) ... x_t] flattened, oldest first.
+    Leading axes of `pad` (one per column) are kept."""
+    return np.concatenate([pad[..., i : i + n, :] for i in range(k)], axis=-1)
 
 
-def _net_forward(model, net, x, want_cache=False, teacher=None):
-    """Run one converter over a normalized sequence.
+def _net_forward(model, net, x, want_cache=False, teachers=None):
+    """Run one converter over B normalized sequences of equal length at once.
 
-    `teacher`, when given, replaces the autoregressive feedback with the
-    provided target frames (teacher forcing); frame t consumes teacher[t-1].
+    `x` is (n, in_dim, B), time-major and batch-minor: column b is one
+    sequence, and every column is computed as if it ran alone. The columns
+    share the converter's weights and frame count, so each per-frame product
+    is one C-ordered weight (rows x d) @ (d x B) block instead of B
+    matrix-vector products. `teachers`, when given, holds one entry per
+    column: None runs that column free, and an (n, out_dim) array replaces
+    its autoregressive feedback (teacher forcing; frame t consumes
+    teacher[t-1]). Returns the (n, out_dim, B) outputs and the cache.
 
     Everything that does not depend on the previous frame (the input convs
-    and their GRU projection) is computed for all frames up front; the
-    per-frame loop holds only the recurrent matrix-vector products and
-    in-place elementwise ops on preallocated rows. Each history the output
-    convs read (hidden states, conv outputs) is one flat buffer with k zero
-    frames in front, so frame t is stored at row t + k and its causal window
-    of width k is the contiguous slice of rows t + 1 .. t + k.
+    and their GRU projection) is computed for all frames of all columns up
+    front, as (B * n)-row GEMMs; the per-frame loop holds only the recurrent
+    products and in-place elementwise ops on preallocated (d, B) blocks. Each
+    history the output convs read (hidden states, conv outputs) is one flat
+    (n + k, d, B) buffer with k zero frames in front, so frame t is stored at
+    row t + k and its causal window of width k is the contiguous block of
+    rows t + 1 .. t + k.
     """
     arch = model.arch
     params = model.params
     dtype = model.dtype
     k = arch.kernel
     h_dim = arch.gru_hidden
-    n = x.shape[0]
+    n, _, n_cols = x.shape
 
-    a = np.ascontiguousarray(x, dtype=dtype)
+    # the input convs see the columns stacked: (B, n, d), one GEMM per layer
+    a = np.ascontiguousarray(x.transpose(2, 0, 1), dtype=dtype)
     in_cache = []
     for layer in range(arch.in_conv_layers):
         w = params[f"{net}.in{layer}.W"]
         b = params[f"{net}.in{layer}.b"]
-        pad = np.concatenate([np.zeros((k - 1, a.shape[1]), dtype=dtype), a])
-        u = _unfold_rows(pad, n, k)
+        pad = np.concatenate([np.zeros((n_cols, k - 1, a.shape[-1]), dtype=dtype), a], axis=1)
+        u = _unfold_rows(pad, n, k).reshape(n_cols * n, -1)
         z = u @ w.T + b
         if want_cache:
             in_cache.append((u, z))
-        a = np.maximum(z, 0.0)
+        a = np.maximum(z, 0.0).reshape(n_cols, n, -1)
 
     wg = params[f"{net}.gru.Wg"]
     ug = params[f"{net}.gru.Ug"]
     wg_y = np.ascontiguousarray(wg[:, arch.conv_channels :])
-    gi_x = a @ wg[:, : arch.conv_channels].T + params[f"{net}.gru.bW"]
-    bu = params[f"{net}.gru.bU"]
+    wg_x_t = wg[:, : arch.conv_channels].T
+    gi_x = np.empty((n, 3 * h_dim, n_cols), dtype=dtype)
+    for col in range(n_cols):
+        np.add(a[col] @ wg_x_t, params[f"{net}.gru.bW"], out=gi_x[:, :, col])
+    a = a.reshape(n_cols * n, -1)
 
+    # biases as C-ordered (d, B) blocks, so adding one is a single flat add
+    bu = np.repeat(params[f"{net}.gru.bU"][:, None], n_cols, axis=1)
     out_w = [params[f"{net}.out{layer}.W"] for layer in range(arch.out_conv_layers)]
-    out_b = [params[f"{net}.out{layer}.b"] for layer in range(arch.out_conv_layers)]
+    out_b = [
+        np.repeat(params[f"{net}.out{layer}.b"][:, None], n_cols, axis=1)
+        for layer in range(arch.out_conv_layers)
+    ]
     last = arch.out_conv_layers - 1
 
     # flat histories: the hidden states, then each output conv layer
     dims = [h_dim] + [w.shape[0] for w in out_w]
-    flats = [np.zeros((n + k) * d, dtype=dtype) for d in dims]
-    rows = [flat.reshape(n + k, d) for flat, d in zip(flats, dims)]
+    flats = [np.zeros((n + k) * d * n_cols, dtype=dtype) for d in dims]
+    rows = [flat.reshape(n + k, d, n_cols) for flat, d in zip(flats, dims)]
     h_rows = rows[0]
     y_rows = rows[-1]
 
     # feedback into frame t: zeros at t = 0, then the previous output frame
-    if teacher is None:
+    # of a free column or the previous teacher frame of a forced one; with
+    # forced columns present, `feed` copies each new output frame into the
+    # free columns of the next feedback row
+    teachers = teachers or [None] * n_cols
+    free = np.array([teacher is None for teacher in teachers])
+    feed = None
+    if free.all():
         ar_rows = y_rows[k - 1 : k - 1 + n]
     else:
-        ar_rows = np.zeros((n, arch.out_dim), dtype=dtype)
-        ar_rows[1:] = teacher[: n - 1]
+        ar_full = np.zeros((n + 1, arch.out_dim, n_cols), dtype=dtype)
+        for col, teacher in enumerate(teachers):
+            if teacher is not None:
+                ar_full[1:, :, col] = teacher
+        ar_rows = ar_full[:n]
+        if free.any():
+            feed = free
 
-    gh_rows = np.empty((n, 3 * h_dim), dtype=dtype)
-    zr_rows = np.empty((n, 2 * h_dim), dtype=dtype)
-    nc_rows = np.empty((n, h_dim), dtype=dtype)
+    gh_rows = np.empty((n, 3 * h_dim, n_cols), dtype=dtype)
+    zr_rows = np.empty((n, 2 * h_dim, n_cols), dtype=dtype)
+    nc_rows = np.empty((n, h_dim, n_cols), dtype=dtype)
     gh_zr, gh_n = gh_rows[:, : 2 * h_dim], gh_rows[:, 2 * h_dim :]
     z_rows, r_rows = zr_rows[:, :h_dim], zr_rows[:, h_dim:]
-    gi = np.empty(3 * h_dim, dtype=dtype)
+    gi = np.empty((3 * h_dim, n_cols), dtype=dtype)
     gi_zr, gi_n = gi[: 2 * h_dim], gi[2 * h_dim :]
+    windows = [flat.reshape(-1, n_cols) for flat in flats]
 
     for t in range(n):
         h_prev = h_rows[t + k - 1]
@@ -210,10 +247,12 @@ def _net_forward(model, net, x, want_cache=False, teacher=None):
         for layer in range(arch.out_conv_layers):
             d_in = dims[layer]
             val = rows[layer + 1][t + k]
-            np.dot(out_w[layer], flats[layer][(t + 1) * d_in : (t + k + 1) * d_in], out=val)
+            np.dot(out_w[layer], windows[layer][(t + 1) * d_in : (t + k + 1) * d_in], out=val)
             val += out_b[layer]
             if layer != last:
                 np.maximum(val, 0.0, out=val)
+        if feed is not None:
+            np.copyto(ar_full[t + 1], y_rows[t + k], where=feed)
 
     y = y_rows[k:].copy()
     if not want_cache:
@@ -225,32 +264,36 @@ def _net_forward(model, net, x, want_cache=False, teacher=None):
         "rows": rows,
         "zr": zr_rows,
         "nc": nc_rows,
-        "gh_n": gh_n,
-        "teacher": teacher is not None,
+        "gh_n": gh_n.copy(),  # the rest of gh_rows is not read again
+        "free": free,
     }
     return y, cache
 
 
-def _net_backward(model, net, cache, d_y):
-    """Gradients of a scalar loss through one converter.
+def _net_backward(model, net, cache, d_y, input_cols=()):
+    """Gradients of a scalar loss through one converter's B columns.
 
-    `d_y` is the loss gradient w.r.t. the converter output; the returned
-    pair is (parameter gradients for this net, gradient w.r.t. the input
-    sequence). Autoregressive feedback is handled by adding each frame's
-    GRU-input gradient onto the previous frame's output gradient, skipped
-    under teacher forcing where the feedback came from constants.
+    `d_y` is the (n, out_dim, B) loss gradient w.r.t. the outputs. Returns
+    the parameter gradients for this net, summed over the columns, and the
+    (n, in_dim, len(input_cols)) gradient w.r.t. the input columns named in
+    `input_cols` (None when it names none). Autoregressive feedback is
+    handled by adding each frame's GRU-input gradient onto the previous
+    frame's output gradient, in the free-running columns only: a teacher
+    column's feedback came from constants.
 
     The ReLU masks and the gate-derivative factors are computed for all
-    frames before the reverse loop, so each frame costs its transposed
-    matrix-vector products and a few in-place multiplies. Gradients that
-    land on the zero frames in front of a history are discarded.
+    frames before the reverse loop, and each frame's gate gradients are
+    written in place over its factors, so each frame costs its transposed
+    (rows x d) @ (d x B) products and a few in-place multiplies. Gradients
+    that land on the zero frames in front of a history are discarded. The
+    weight gradients are reduced after the loop, one column at a time.
     """
     arch = model.arch
     params = model.params
     dtype = model.dtype
     k = arch.kernel
     h_dim = arch.gru_hidden
-    n = d_y.shape[0]
+    n, _, n_cols = d_y.shape
     last = arch.out_conv_layers - 1
 
     wg = params[f"{net}.gru.Wg"]
@@ -263,32 +306,45 @@ def _net_backward(model, net, cache, d_y):
 
     rows = cache["rows"]
     dims = [r.shape[1] for r in rows]
-    d_flats = [np.zeros((n + k) * d, dtype=dtype) for d in dims]
-    d_rows = [flat.reshape(n + k, d) for flat, d in zip(d_flats, dims)]
+    d_flats = [np.zeros((n + k) * d * n_cols, dtype=dtype) for d in dims]
+    d_rows = [flat.reshape(n + k, d, n_cols) for flat, d in zip(d_flats, dims)]
+    d_windows = [flat.reshape(-1, n_cols) for flat in d_flats]
     d_rows[-1][k:] = d_y
     masks = [(hist[k:] > 0).astype(dtype) for hist in rows[1:-1]]
 
-    # dh -> d(gate pre-activations); d_gi and d_gh differ only in the n block,
-    # where d_gh carries the extra factor r
+    # dh -> d(gate pre-activations), as factors of dh taken for all frames;
+    # d_gi and d_gh differ only in the n block, where d_gh carries the extra
+    # factor r
     z, r, nc = cache["zr"][:, :h_dim], cache["zr"][:, h_dim:], cache["nc"]
     h_prev_rows = rows[0][k - 1 : k - 1 + n]
-    f_z = (h_prev_rows - nc) * z * (1.0 - z)
-    f_n = (1.0 - z) * (1.0 - nc * nc)
-    f_r = f_n * cache["gh_n"] * r * (1.0 - r)
-    f_gi = np.concatenate([f_z, f_r, f_n], axis=1).reshape(n, 3, h_dim)
-    f_gh = np.concatenate([f_z, f_r, f_n * r], axis=1).reshape(n, 3, h_dim)
-    d_gi = np.empty((n, 3, h_dim), dtype=dtype)
-    d_gh = np.empty((n, 3, h_dim), dtype=dtype)
-    d_gi_flat = d_gi.reshape(n, 3 * h_dim)
-    d_gh_flat = d_gh.reshape(n, 3 * h_dim)
+    one_minus_z = 1.0 - z
+    d_gi = np.empty((n, 3, h_dim, n_cols), dtype=dtype)
+    f_z, f_r, f_n = d_gi[:, 0], d_gi[:, 1], d_gi[:, 2]
+    np.subtract(h_prev_rows, nc, out=f_z)
+    f_z *= z
+    f_z *= one_minus_z
+    np.multiply(nc, nc, out=f_n)
+    np.subtract(1.0, f_n, out=f_n)
+    f_n *= one_minus_z
+    del one_minus_z
+    np.multiply(f_n, cache["gh_n"], out=f_r)
+    f_r *= r
+    f_r *= 1.0 - r
+    d_gh = d_gi.copy()
+    d_gh[:, 2] *= r
+    d_gi_flat = d_gi.reshape(n, 3 * h_dim, n_cols)
+    d_gh_flat = d_gh.reshape(n, 3 * h_dim, n_cols)
 
-    windows = [np.empty(k * d, dtype=dtype) for d in dims[:-1]]
-    d_h_rec = np.empty(h_dim, dtype=dtype)
-    d_h_skip = np.empty(h_dim, dtype=dtype)
-    d_fb = np.empty(arch.out_dim, dtype=dtype)
+    windows = [np.empty((k * d, n_cols), dtype=dtype) for d in dims[:-1]]
+    d_h_rec = np.empty((h_dim, n_cols), dtype=dtype)
+    d_h_skip = np.empty((h_dim, n_cols), dtype=dtype)
+    d_fb = np.empty((arch.out_dim, n_cols), dtype=dtype)
     d_h_rows = d_rows[0]
     d_y_rows = d_rows[-1]
-    free_running = not cache["teacher"]
+    # feedback gradients reach the free columns only: none, all, or a mask
+    free = cache["free"]
+    any_free = free.any()
+    feed = None if free.all() else free.astype(dtype)
 
     for t in range(n - 1, -1, -1):
         for layer in range(last, -1, -1):
@@ -297,55 +353,78 @@ def _net_backward(model, net, cache, d_y):
                 dp *= masks[layer][t]
             d_in = dims[layer]
             np.dot(out_w_t[layer], dp, out=windows[layer])
-            d_flats[layer][(t + 1) * d_in : (t + k + 1) * d_in] += windows[layer]
+            d_windows[layer][(t + 1) * d_in : (t + k + 1) * d_in] += windows[layer]
 
         dh = d_h_rows[t + k]
-        np.multiply(f_gh[t], dh, out=d_gh[t])
-        np.multiply(f_gi[t], dh, out=d_gi[t])
+        d_gh[t] *= dh
+        d_gi[t] *= dh
         np.dot(ug_t, d_gh_flat[t], out=d_h_rec)
         np.multiply(dh, z[t], out=d_h_skip)
         d_h_prev = d_h_rows[t + k - 1]
         d_h_prev += d_h_skip
         d_h_prev += d_h_rec
-        if free_running:
+        if any_free:
             np.dot(wg_y_t, d_gi_flat[t], out=d_fb)
+            if feed is not None:
+                d_fb *= feed
             d_y_rows[t + k - 1] += d_fb
 
+    wx = wg[:, : arch.conv_channels]
     grads = {}
-    for layer in range(arch.out_conv_layers):
-        u = _unfold_rows(rows[layer][1:], n, k)
-        d_pre = d_rows[layer + 1][k:]
-        grads[f"{net}.out{layer}.W"] = d_pre.T @ u
-        grads[f"{net}.out{layer}.b"] = d_pre.sum(axis=0)
 
-    u_gru = np.concatenate([cache["a_top"], cache["ar"]], axis=1)
-    grads[f"{net}.gru.Wg"] = d_gi_flat.T @ u_gru
-    grads[f"{net}.gru.bW"] = d_gi_flat.sum(axis=0)
-    grads[f"{net}.gru.Ug"] = d_gh_flat.T @ h_prev_rows
-    grads[f"{net}.gru.bU"] = d_gh_flat.sum(axis=0)
+    def accumulate(name, value):
+        if name in grads:
+            grads[name] += value
+        else:
+            grads[name] = value
 
-    d_a = d_gi_flat @ wg[:, : arch.conv_channels]
-    for layer in range(arch.in_conv_layers - 1, -1, -1):
-        u, zpre = cache["in"][layer]
-        d_z = d_a * (zpre > 0)
-        grads[f"{net}.in{layer}.W"] = d_z.T @ u
-        grads[f"{net}.in{layer}.b"] = d_z.sum(axis=0)
-        w = params[f"{net}.in{layer}.W"]
-        d_u = d_z @ w
-        cin = w.shape[1] // k
-        d_pad = np.zeros((n + k - 1, cin), dtype=dtype)
-        for i in range(k):
-            d_pad[i : i + n] += d_u[:, i * cin : (i + 1) * cin]
-        d_a = d_pad[k - 1 :]
+    d_x = np.empty((n, arch.in_dim, len(input_cols)), dtype=dtype) if input_cols else None
+    for col in range(n_cols):
+        for layer in range(arch.out_conv_layers):
+            u = _unfold_rows(rows[layer][1:, :, col], n, k)
+            d_pre = np.ascontiguousarray(d_rows[layer + 1][k:, :, col])
+            accumulate(f"{net}.out{layer}.W", d_pre.T @ u)
+            accumulate(f"{net}.out{layer}.b", d_pre.sum(axis=0))
 
-    return grads, d_a
+        d_gi_col = np.ascontiguousarray(d_gi_flat[:, :, col])
+        d_gh_col = np.ascontiguousarray(d_gh_flat[:, :, col])
+        frames = slice(col * n, (col + 1) * n)
+        u_gru = np.concatenate([cache["a_top"][frames], cache["ar"][:, :, col]], axis=1)
+        accumulate(f"{net}.gru.Wg", d_gi_col.T @ u_gru)
+        accumulate(f"{net}.gru.bW", d_gi_col.sum(axis=0))
+        accumulate(f"{net}.gru.Ug", d_gh_col.T @ np.ascontiguousarray(h_prev_rows[:, :, col]))
+        accumulate(f"{net}.gru.bU", d_gh_col.sum(axis=0))
+
+        d_a = d_gi_col @ wx
+        for layer in range(arch.in_conv_layers - 1, -1, -1):
+            u, zpre = cache["in"][layer]
+            d_z = d_a * (zpre[frames] > 0)
+            accumulate(f"{net}.in{layer}.W", d_z.T @ u[frames])
+            accumulate(f"{net}.in{layer}.b", d_z.sum(axis=0))
+            if layer == 0 and col not in input_cols:
+                break
+            w = params[f"{net}.in{layer}.W"]
+            d_u = d_z @ w
+            cin = w.shape[1] // k
+            d_pad = np.zeros((n + k - 1, cin), dtype=dtype)
+            for i in range(k):
+                d_pad[i : i + n] += d_u[:, i * cin : (i + 1) * cin]
+            d_a = d_pad[k - 1 :]
+        if col in input_cols:
+            d_x[:, :, input_cols.index(col)] = d_a
+
+    return grads, d_x
+
+
+def _run_one(model, net, x):
+    """One converter over one sequence: the B = 1 case of the kernel."""
+    return _net_forward(model, net, x[:, :, None])[0][:, :, 0]
 
 
 def stot_forward(model, x_norm):
     """Source-to-target conversion on a normalized source sequence."""
     x = _validate_seq(x_norm, model.arch.in_dim, "source sequence")
-    y, _ = _net_forward(model, "f", x)
-    return y
+    return _run_one(model, "f", x)
 
 
 def splice_prosody(mcep_norm, y_norm, norm_src, norm_tgt):
@@ -358,19 +437,18 @@ def splice_prosody(mcep_norm, y_norm, norm_src, norm_tgt):
     return np.concatenate([mcep_norm, as_src.astype(mcep_norm.dtype)], axis=1)
 
 
-def _cycle(model, y, want_cache=False):
-    """f(splice(g(Y), Y)) of a validated target sequence, in the model's
-    dtype; returns (output, cache of g, cache of the cycle's f)."""
-    y = np.ascontiguousarray(y, dtype=model.dtype)
-    back, cache_g = _net_forward(model, "g", y, want_cache)
-    spliced = splice_prosody(back, y, model.norm_src, model.norm_tgt)
-    out, cache_f2 = _net_forward(model, "f", spliced, want_cache)
-    return out, cache_g, cache_f2
+def _splice_back(model, y, want_cache=False):
+    """splice(g(Y), Y) of a validated target sequence in the model's dtype,
+    and the cache of g."""
+    back, cache_g = _net_forward(model, "g", y[:, :, None], want_cache)
+    return splice_prosody(back[:, :, 0], y, model.norm_src, model.norm_tgt), cache_g
 
 
 def cycle_path(model, y_norm):
     """Self-conversion f(splice(g(Y), Y)) of a normalized target sequence."""
-    return _cycle(model, _validate_seq(y_norm, model.arch.in_dim, "target sequence"))[0]
+    y = _validate_seq(y_norm, model.arch.in_dim, "target sequence")
+    spliced, _ = _splice_back(model, np.ascontiguousarray(y, dtype=model.dtype))
+    return _run_one(model, "f", spliced)
 
 
 @dataclass(frozen=True)
@@ -389,7 +467,12 @@ class LossBreakdown:
 def _objective(model, x_norm, y_norm, rho, teacher_forcing, want_cache):
     """The joint objective on one normalized pair. Returns the breakdown, the
     float64 residuals f(X) - Y and f(splice(g(Y), Y)) - Y (mcep dims), and
-    the caches (f(X), g, cycle f), which are None unless `want_cache`."""
+    the caches of g and of f, which are None unless `want_cache`.
+
+    Both f passes share f's weights and the frame count, so they run as the
+    two columns of one pass over [X, splice(g(Y), Y)]: under teacher forcing
+    column 0 reads Y's mel-cepstra as its feedback and column 1 runs free.
+    """
     x = _validate_seq(x_norm, model.arch.in_dim, "source sequence")
     y = _validate_seq(y_norm, model.arch.in_dim, "target sequence")
     if x.shape[0] != y.shape[0]:
@@ -400,13 +483,14 @@ def _objective(model, x_norm, y_norm, rho, teacher_forcing, want_cache):
         raise ConfigError("rho must be non-negative")
     y = np.ascontiguousarray(y, dtype=model.dtype)
     y_mc = y[:, :MCEP_DIM]
-    f_x, cache_f1 = _net_forward(model, "f", x, want_cache, y_mc if teacher_forcing else None)
-    y_cycle, cache_g, cache_f2 = _cycle(model, y, want_cache)
-    r1 = f_x.astype(np.float64) - y_mc.astype(np.float64)
-    r2 = y_cycle.astype(np.float64) - y_mc.astype(np.float64)
+    spliced, cache_g = _splice_back(model, y, want_cache)
+    both = np.stack([x.astype(model.dtype, copy=False), spliced], axis=2)
+    teachers = (y_mc, None) if teacher_forcing else None
+    out, cache_f = _net_forward(model, "f", both, want_cache, teachers)
+    r1, r2 = (out[:, :, col].astype(np.float64) - y_mc.astype(np.float64) for col in (0, 1))
     stot, cyc = (float(np.mean(np.abs(r))) for r in (r1, r2))
     breakdown = LossBreakdown(stot_l1=stot, cycle_l1=cyc, rho=rho)
-    return breakdown, r1, r2, (cache_f1, cache_g, cache_f2)
+    return breakdown, r1, r2, (cache_g, cache_f)
 
 
 def cycle_loss(model, x_norm, y_norm, rho=RHO_DEFAULT):
@@ -415,18 +499,21 @@ def cycle_loss(model, x_norm, y_norm, rho=RHO_DEFAULT):
 
 
 def loss_gradients(model, x_norm, y_norm, rho=RHO_DEFAULT, teacher_forcing=False):
-    """Joint objective and analytic parameter gradients for one pair."""
-    breakdown, r1, r2, (cache_f1, cache_g, cache_f2) = _objective(
+    """Joint objective and analytic parameter gradients for one pair.
+
+    One backward pass of f over both columns, the cycle column pre-scaled by
+    rho, sums the two f terms' weight gradients; the gradient w.r.t. the
+    cycle column's input then runs back through g.
+    """
+    breakdown, r1, r2, (cache_g, cache_f) = _objective(
         model, x_norm, y_norm, rho, teacher_forcing, want_cache=True
     )
     scale = 1.0 / r1.size
-    d1 = (np.sign(r1) * scale).astype(model.dtype)
-    grads, _ = _net_backward(model, "f", cache_f1, d1)
+    d_out = np.stack([np.sign(r1) * scale, np.sign(r2) * (rho * scale)], axis=2)
+    grads, d_spliced = _net_backward(
+        model, "f", cache_f, d_out.astype(model.dtype), input_cols=(1,) if rho > 0.0 else ()
+    )
     if rho > 0.0:
-        d2 = (np.sign(r2) * (rho * scale)).astype(model.dtype)
-        g_f2, d_spliced = _net_backward(model, "f", cache_f2, d2)
-        for name, g in g_f2.items():
-            grads[name] += g
         # prosody dims of the spliced input are constants w.r.t. parameters
         g_g, _ = _net_backward(model, "g", cache_g, d_spliced[:, :MCEP_DIM])
         grads.update(g_g)

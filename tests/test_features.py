@@ -74,6 +74,20 @@ def test_mismatched_frame_counts_are_rejected():
         )
 
 
+def test_zero_frame_features_are_rejected():
+    # an empty utterance would otherwise reach simulate_tts and the MCD mean
+    with pytest.raises(ShapeError, match="at least one frame"):
+        UtteranceFeatures(
+            utt_id="u",
+            mcep=np.zeros((0, 45)),
+            lf0=np.zeros(0),
+            uv=np.zeros(0),
+            cap=np.zeros((0, 3)),
+        )
+    with pytest.raises(ShapeError, match="at least one frame"):
+        UtteranceFeatures.from_full_frames("u", np.zeros((0, 50)))
+
+
 def test_wrong_mcep_width_is_rejected():
     with pytest.raises(ShapeError, match="mcep"):
         UtteranceFeatures(

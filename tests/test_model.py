@@ -128,11 +128,12 @@ def test_converters_are_causal(rng):
 def test_feeding_own_outputs_as_teacher_reproduces_free_running(rng):
     model = make_model(seed=5)
     x = np.asarray(rng.normal(size=(8, 50)), dtype=np.float32)
-    free, _ = _net_forward(model, "f", x)
-    replay, _ = _net_forward(model, "f", x, teacher=free)
-    assert np.array_equal(free, replay)
-    other, _ = _net_forward(model, "f", x, teacher=free + 1.0)
-    assert not np.array_equal(free, other)
+    free, _ = _net_forward(model, "f", x[:, :, None])
+    free = free[:, :, 0]
+    replay, _ = _net_forward(model, "f", x[:, :, None], teachers=[free])
+    assert np.array_equal(free, replay[:, :, 0])
+    other, _ = _net_forward(model, "f", x[:, :, None], teachers=[free + 1.0])
+    assert not np.array_equal(free, other[:, :, 0])
 
 
 def test_autoregressive_feedback_reaches_later_frames(rng):
@@ -216,14 +217,14 @@ def test_cycle_path_is_the_documented_composition(rng):
     model = make_model(seed=4)
     y = rng.normal(size=(7, 50))
     direct = cycle_path(model, y)
-    back, _ = _net_forward(model, "g", y)
-    spliced = splice_prosody(back, np.asarray(y, dtype=np.float32), model.norm_src, model.norm_tgt)
-    again, _ = _net_forward(model, "f", spliced)
-    assert np.array_equal(direct, again)
+    back, _ = _net_forward(model, "g", y[:, :, None])
+    spliced = splice_prosody(back[:, :, 0], np.asarray(y, dtype=np.float32), model.norm_src, model.norm_tgt)
+    again, _ = _net_forward(model, "f", spliced[:, :, None])
+    assert np.array_equal(direct, again[:, :, 0])
 
 
 def test_identity_converters_make_the_cycle_reproduce_the_target(rng, monkeypatch):
-    def fake_forward(model, net, x, want_cache=False, teacher=None):
+    def fake_forward(model, net, x, want_cache=False, teachers=None):
         out = np.asarray(x, dtype=np.float32)[:, :45].copy()
         return out, None
 
@@ -245,8 +246,12 @@ def test_loss_terms_match_independent_recomputation(rng):
     y_mc = np.asarray(y, dtype=np.float32)[:, :45].astype(np.float64)
     stot = np.mean(np.abs(stot_forward(model, x).astype(np.float64) - y_mc))
     cyc = np.mean(np.abs(cycle_path(model, y).astype(np.float64) - y_mc))
-    assert loss.stot_l1 == pytest.approx(stot, rel=1e-12)
-    assert loss.cycle_l1 == pytest.approx(cyc, rel=1e-12)
+    # the objective reads the two columns of one f pass, the recomputation
+    # two single-column passes: the per-frame products round as GEMMs
+    # there and as matrix-vector products here, so the terms agree to
+    # float32 rounding, not bit for bit
+    assert loss.stot_l1 == pytest.approx(stot, rel=1e-6)
+    assert loss.cycle_l1 == pytest.approx(cyc, rel=1e-6)
     assert loss.total == loss.stot_l1 + rho * loss.cycle_l1
     assert loss.rho == rho
 
