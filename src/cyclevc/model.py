@@ -213,8 +213,7 @@ def _net_forward(model, net, x, want_cache=False, teachers=None):
             if teacher is not None:
                 ar_full[1:, :, col] = teacher
         ar_rows = ar_full[:n]
-        if free.any():
-            feed = free
+        feed = free
 
     gh_rows = np.empty((n, 3 * h_dim, n_cols), dtype=dtype)
     zr_rows = np.empty((n, 2 * h_dim, n_cols), dtype=dtype)
@@ -341,9 +340,8 @@ def _net_backward(model, net, cache, d_y, input_cols=()):
     d_fb = np.empty((arch.out_dim, n_cols), dtype=dtype)
     d_h_rows = d_rows[0]
     d_y_rows = d_rows[-1]
-    # feedback gradients reach the free columns only: none, all, or a mask
+    # feedback gradients reach the free columns only: all, or a mask
     free = cache["free"]
-    any_free = free.any()
     feed = None if free.all() else free.astype(dtype)
 
     for t in range(n - 1, -1, -1):
@@ -363,11 +361,10 @@ def _net_backward(model, net, cache, d_y, input_cols=()):
         d_h_prev = d_h_rows[t + k - 1]
         d_h_prev += d_h_skip
         d_h_prev += d_h_rec
-        if any_free:
-            np.dot(wg_y_t, d_gi_flat[t], out=d_fb)
-            if feed is not None:
-                d_fb *= feed
-            d_y_rows[t + k - 1] += d_fb
+        np.dot(wg_y_t, d_gi_flat[t], out=d_fb)
+        if feed is not None:
+            d_fb *= feed
+        d_y_rows[t + k - 1] += d_fb
 
     wx = wg[:, : arch.conv_channels]
     grads = {}

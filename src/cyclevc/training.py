@@ -114,15 +114,8 @@ class AdamOptimizer:
         self.step_count = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
-        # two scratch tensors, shared by every parameter, hold the update's
-        # intermediates, so a step allocates nothing parameter-sized
-        largest = max(params.values(), key=lambda p: p.size)
-        self._scratch = [np.empty(largest.size, dtype=largest.dtype) for _ in range(2)]
 
     def step(self, params, grads):
-        """One Adam update in place. The float operations and their order are
-        those of m += (1 - b1)(g - m); v += (1 - b2)(g^2 - v);
-        p -= lr * (m / c1) / (sqrt(v / c2) + eps)."""
         self.step_count += 1
         correction1 = 1.0 - self.BETA1**self.step_count
         correction2 = 1.0 - self.BETA2**self.step_count
@@ -130,21 +123,11 @@ class AdamOptimizer:
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
-            a, b = (buf[: p.size].reshape(p.shape) for buf in self._scratch)
-            np.subtract(g, m, out=a)
-            a *= 1.0 - self.BETA1
-            m += a
-            np.multiply(g, g, out=a)
-            a -= v
-            a *= 1.0 - self.BETA2
-            v += a
-            np.divide(v, correction2, out=a)
-            np.sqrt(a, out=a)
-            a += self.EPS
-            np.divide(m, correction1, out=b)
-            b *= self.learning_rate
-            b /= a
-            p -= b
+            m += (1.0 - self.BETA1) * (g - m)
+            v += (1.0 - self.BETA2) * (g * g - v)
+            m_hat = m / correction1
+            v_hat = v / correction2
+            p -= (self.learning_rate * m_hat / (np.sqrt(v_hat) + self.EPS)).astype(p.dtype)
 
 
 def train(pairs, config=None):

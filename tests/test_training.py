@@ -139,43 +139,6 @@ def test_adam_updates_in_place_and_tracks_state_per_parameter():
     assert np.array_equal(params["b"], np.ones(3, dtype=np.float32))
 
 
-def _adam_by_formula(params, grads, m, v, step, learning_rate):
-    """One Adam step written out as whole-array expressions."""
-    c1 = 1.0 - AdamOptimizer.BETA1**step
-    c2 = 1.0 - AdamOptimizer.BETA2**step
-    for name, p in params.items():
-        g = grads[name]
-        m[name] += (1.0 - AdamOptimizer.BETA1) * (g - m[name])
-        v[name] += (1.0 - AdamOptimizer.BETA2) * (g * g - v[name])
-        m_hat = m[name] / c1
-        v_hat = v[name] / c2
-        p -= (learning_rate * m_hat / (np.sqrt(v_hat) + AdamOptimizer.EPS)).astype(p.dtype)
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_adam_in_place_step_is_bit_identical_to_the_formula(dtype):
-    rng = np.random.default_rng(17)
-    shapes = {"w": (7, 5), "b": (5,), "u": (3, 11)}
-    # parameters at the scale of one update, so a rounding change in the
-    # update shows in them
-    params = {k: (rng.normal(size=s) * 1e-3).astype(dtype) for k, s in shapes.items()}
-    want = {k: p.copy() for k, p in params.items()}
-    m = {k: np.zeros_like(p) for k, p in params.items()}
-    v = {k: np.zeros_like(p) for k, p in params.items()}
-    opt = AdamOptimizer(params, learning_rate=1e-3)
-    for step in range(1, 7):
-        # gradients from 1e-14 (the cycle term's scale) to 1e2, some exactly 0
-        grads = {
-            k: (rng.normal(size=s) * 10.0 ** rng.uniform(-14, 2, size=s) * (rng.uniform(size=s) > 0.1)).astype(dtype)
-            for k, s in shapes.items()
-        }
-        opt.step(params, grads)
-        _adam_by_formula(want, grads, m, v, step, 1e-3)
-        for k in shapes:
-            assert np.array_equal(params[k], want[k]), (step, k)
-            assert np.array_equal(opt.m[k], m[k]) and np.array_equal(opt.v[k], v[k]), (step, k)
-
-
 # ----- training loop --------------------------------------------------------------
 
 
