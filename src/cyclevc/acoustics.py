@@ -12,10 +12,14 @@ rows. The envelope of voiced frames is measured by probing harmonic
 amplitudes with windowed DFTs at k*F0, interpolating the log amplitudes
 across frequency, and converting to a truncated warped cepstrum. Band
 aperiodicity contrasts harmonic against interharmonic probe power. Both
-probe sets come from one chirp-z transform per voiced frame, at a half-F0
-step, computed as a Bluestein FFT convolution. Synthesis excites pulse and
-noise sources, mixes them per aperiodicity band, and applies the envelope
-with FFT overlap-add, in the same blocks of frames as analysis.
+probe sets come from a chirp-z transform at a half-F0 step, computed as a
+Bluestein FFT convolution: one Bluestein pass per block of voiced frames
+(up to PROBE_ROWS of them), each row with its own window and chirp. Each
+frame's log envelope goes onto the codec's warped grid, and one DCT-I per
+batch of rows makes the cepstra.
+Synthesis excites pulse and noise sources, mixes them per aperiodicity band,
+and applies the envelope with FFT overlap-add, in the same blocks of frames
+as analysis.
 """
 
 import numpy as np
@@ -61,6 +65,9 @@ AMP_FLOOR = 1e-7
 # frames analysed or synthesized per batch: whole-utterance batches cost
 # memory (the spectra of every frame at once) for no further speed
 BLOCK_FRAMES = 64
+# voiced frames per batched probe pass, each padded to the widest window
+# among them: 32 rows ran no faster and raised the peak memory of extraction
+PROBE_ROWS = 16
 # zero padding on each side of the waveform: the widest analysis window
 # (the longest voiced-frame window) centred on the first or last frame fits
 PAD = ENV_WINDOW_MAX // 2 + 1
@@ -83,7 +90,7 @@ def _interp_lf0(f0, voiced):
 
 
 def _probe(wx, f0, count):
-    """|DFT| of wx at the harmonics k*f0 and at (k - 0.5)*f0, k = 1..count.
+    """|DFT| of each row of wx at its harmonics k*f0 and at (k - 0.5)*f0, k = 1..count.
 
     The two sets are the odd and even outputs of one chirp-z transform that
     starts at f0/2 and steps by f0/2 (m = 2*count points), computed as a
@@ -91,23 +98,28 @@ def _probe(wx, f0, count):
     (j+1)*f0/2) is sum_n wx[n] exp(-i*phi*(j+1)*n), and
     (j+1)*n = ((n+1)^2 - 1)/2 + (j^2 - (j-n)^2)/2, so up to unit-modulus
     factors it is the convolution of wx[n]*conj(chirp[n+1]) with chirp, where
-    chirp[k] = exp(i*phi*k^2/2). The chirp is built from real phases.
-    Returns (harmonic, interharmonic), unnormalized.
+    chirp[k] = exp(i*phi*k^2/2). The chirp is built from real phases, one
+    per row from that row's f0. Zero padding leaves a row's DFT unchanged
+    at every frequency, so windows of several lengths, each zero-padded to
+    the width of wx, share one FFT length. Returns (harmonic,
+    interharmonic), each (rows, count), unnormalized.
     """
-    n, m = len(wx), 2 * count
+    n, m = wx.shape[1], 2 * count
     nfft = next_fast_len(n + m - 1)
     k = np.arange(max(n + 1, m), dtype=np.float64)
-    chirp = np.exp(1j * ((0.5 * np.pi * f0 / FS) * (k * k)))
-    kernel = np.zeros(nfft, dtype=np.complex128)
-    kernel[:m] = chirp[:m]
-    kernel[nfft - n + 1 :] = chirp[n - 1 : 0 : -1]  # lags -(n-1)..-1
-    conv = ifft(fft(wx * np.conj(chirp[1 : n + 1]), nfft) * fft(kernel))[:m]
-    mag = np.abs(conv)
-    return mag[1::2], mag[0::2]
+    half_phi = 0.5 * np.pi * f0 / FS
+    chirp = np.exp(1j * (half_phi[:, None] * (k * k)))
+    kernel = np.zeros((len(wx), nfft), dtype=np.complex128)
+    kernel[:, :m] = chirp[:, :m]
+    kernel[:, nfft - n + 1 :] = chirp[:, n - 1 : 0 : -1]  # lags -(n-1)..-1
+    spectrum = fft(wx * np.conj(chirp[:, 1 : n + 1]), nfft, axis=1) * fft(kernel, axis=1)
+    mag = np.abs(ifft(spectrum, axis=1)[:, :m])
+    return mag[:, 1::2], mag[:, 0::2]
 
 
 _CODEC = WarpedCepstrumCodec(FS, order=MCEP_DIM, alpha=MCEP_ALPHA)
-_UV_FREQS = rfftfreq(UNVOICED_FFT, 1.0 / FS)
+# the codec's grid nodes as fractional bins of the unvoiced spectrum
+_UV_GRID_POS = (_CODEC.node_freq_hz * (UNVOICED_FFT / FS))[None, :]
 _UV_HANN = np.hanning(UNVOICED_WINDOW)
 # unit-noise amplitude that makes the unvoiced round trip level-consistent
 _UV_NOISE_SIGMA = _UV_HANN.sum() / (2.0 * np.sqrt(np.sum(_UV_HANN * _UV_HANN)))
@@ -164,8 +176,10 @@ def analyze(waveform, fs, utt_id=""):
         unvoiced = idx[~voiced[block]]
         if unvoiced.size:
             mcep[unvoiced] = _unvoiced_envelopes(uv_frames[unvoiced])
-        for t in idx[voiced[block]]:
-            mcep[t], cap[t] = _voiced_frame(padded, PAD + t * HOP, f0[t])
+        voiced_idx = idx[voiced[block]]
+        for sub in range(0, voiced_idx.size, PROBE_ROWS):
+            rows = voiced_idx[sub : sub + PROBE_ROWS]
+            mcep[rows], cap[rows] = _voiced_envelopes(padded, PAD + rows * HOP, f0[rows])
 
     return UtteranceFeatures(
         utt_id=utt_id,
@@ -175,42 +189,69 @@ def analyze(waveform, fs, utt_id=""):
         cap=cap,
     )
 
-def _voiced_frame(padded, center, f0):
-    """Cepstrum and band aperiodicity of the frame centred at padded[center]."""
-    w_len = int(round(ENV_PERIODS * FS / f0)) | 1
-    w_len = min(max(w_len, ENV_WINDOW_MIN), ENV_WINDOW_MAX)
-    win = np.hanning(w_len)
-    start = center - w_len // 2
-    wx = padded[start : start + w_len] * win
-    gain = 2.0 / win.sum()
 
-    n_harm = int((NYQUIST - 0.6 * f0) // f0)
-    amps, inter = _probe(wx, f0, n_harm)  # k * f0 and (k - 0.5) * f0, k=1..
-    amps *= gain
-    inter *= gain
+def _voiced_envelopes(padded, centers, f0):
+    """Cepstra and band aperiodicities of the voiced frames centred at
+    padded[centers] with fundamentals f0, one row each, from one probe pass."""
+    w_len = np.round(ENV_PERIODS * FS / f0).astype(np.int64) | 1
+    w_len = np.clip(w_len, ENV_WINDOW_MIN, ENV_WINDOW_MAX)
+    width = w_len.max()
+    # np.hanning(w_len) of each row, centred in the row (a shift changes no
+    # |DFT|) and zero past its ends, so every row starts at c - width // 2
+    u = np.arange(1 - width, width, 2, dtype=np.float64)
+    win = 0.5 + 0.5 * np.cos(np.pi * u / (w_len[:, None] - 1.0))
+    win[np.abs(u) > w_len[:, None] - 1] = 0.0
+    wx = sliding_window_view(padded, width)[centers - width // 2] * win
+    gain = 2.0 / win.sum(axis=1, keepdims=True)
 
-    floor = max(amps.max() * AMP_RANGE, AMP_FLOOR)
-    log_h = np.log(np.maximum(amps, floor))
-    if n_harm >= 3:  # soften harmonic-to-harmonic jitter and cliff edges
-        log_h = np.convolve(
-            np.concatenate([log_h[:1], log_h, log_h[-1:]]),
-            [0.25, 0.5, 0.25],
-            "valid",
-        )
-    freqs = np.arange(1, n_harm + 1) * f0
-    xp = np.concatenate([[0.0], freqs, [NYQUIST]])
-    fp = np.concatenate([[log_h[0]], log_h, [log_h[-1]]])
-    cep = _CODEC.cepstrum(xp, fp)
+    # a voiced f0 is at most 1.1 * F0_CEIL = 440 Hz, so n_harm >= 26
+    n_harm = ((NYQUIST - 0.6 * f0) // f0).astype(np.int64)
+    harm = np.arange(1, n_harm.max() + 1)
+    valid = harm <= n_harm[:, None]
+    amps, inter = _probe(wx, f0, harm.size)  # k * f0 and (k - 0.5) * f0, k=1..
+    amps = np.where(valid, amps * gain, 0.0)
+    inter = np.where(valid, inter * gain, 0.0)
 
-    inter_freqs = (np.arange(1, n_harm + 1) - 0.5) * f0
-    hp = np.bincount(np.searchsorted(CAP_EDGES, freqs, "right"), amps**2, CAP_DIM)
-    npow = np.bincount(np.searchsorted(CAP_EDGES, inter_freqs, "right"), inter**2, CAP_DIM)
+    floor = np.maximum(amps.max(axis=1) * AMP_RANGE, AMP_FLOOR)
+    log_h = np.log(np.maximum(amps, floor[:, None]))
+    # past its last harmonic a row repeats that harmonic's value, which the
+    # smoothing then takes as the row's edge
+    last = log_h[np.arange(len(f0)), n_harm - 1]
+    log_h = np.where(valid, log_h, last[:, None])
+    # soften harmonic-to-harmonic jitter and cliff edges
+    edged = np.concatenate([log_h[:, :1], log_h, log_h[:, -1:]], axis=1)
+    log_h = 0.25 * edged[:, :-2] + 0.5 * edged[:, 1:-1] + 0.25 * edged[:, 2:]
+    # grid node at harmonic position h (log_h column h - 1), held flat below
+    # the first harmonic and above the last
+    pos = np.clip(_CODEC.node_freq_hz / f0[:, None] - 1.0, 0.0, (n_harm - 1)[:, None])
+    cep = _CODEC.grid_cepstrum(_lerp_columns(log_h, pos))
+
+    freqs = harm * f0[:, None]
+    hp = _band_sums(freqs, amps**2)
+    npow = _band_sums((harm - 0.5) * f0[:, None], inter**2)
     total = hp + npow
-    frac = np.ones(CAP_DIM)
+    frac = np.ones_like(total)
     np.divide(2.0 * npow, total, out=frac, where=total > 0)
-    # frac in [1e-6, 1], so cap in [-60, 0] dB (np.clip is slow on 3 values)
-    cap = np.maximum(10.0 * np.log10(np.maximum(np.minimum(frac, 1.0), 1e-6)), CAP_DB_FLOOR)
+    # frac in [1e-6, 1], so cap in [-60, 0] dB
+    cap = np.maximum(10.0 * np.log10(np.clip(frac, 1e-6, 1.0)), CAP_DB_FLOOR)
     return cep, cap
+
+
+def _band_sums(freqs_hz, power):
+    """(rows, CAP_DIM) sums of each row's power over the CAP_BANDS of freqs_hz."""
+    rows = len(power)
+    bins = np.searchsorted(CAP_EDGES, freqs_hz, "right") + CAP_DIM * np.arange(rows)[:, None]
+    return np.bincount(bins.ravel(), power.ravel(), rows * CAP_DIM).reshape(rows, CAP_DIM)
+
+
+def _lerp_columns(values, pos):
+    """values (rows, cols) linearly interpolated along each row at the
+    fractional column positions pos (0 <= pos <= cols - 1), one row each."""
+    i0 = np.minimum(pos.astype(np.int64), values.shape[1] - 2)
+    lo = np.take_along_axis(values, i0, axis=1)
+    hi = np.take_along_axis(values, i0 + 1, axis=1)
+    return lo + (hi - lo) * (pos - i0)
+
 
 def _unvoiced_envelopes(segs):
     """Cepstra of smoothed periodograms, one per row of UNVOICED_WINDOW samples."""
@@ -219,7 +260,8 @@ def _unvoiced_envelopes(segs):
     amp = 2.0 * np.sqrt(power) / _UV_HANN.sum()
     floor = np.maximum(amp.max(axis=1) * AMP_RANGE, AMP_FLOOR)
     log_amp = np.log(np.maximum(amp, floor[:, None]))
-    return [_CODEC.cepstrum(_UV_FREQS, row) for row in log_amp]
+    return _CODEC.grid_cepstrum(_lerp_columns(log_amp, _UV_GRID_POS))
+
 
 def synthesize(feat, fs):
     """Waveform at FS rendered from UtteranceFeatures."""

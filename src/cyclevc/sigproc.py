@@ -3,7 +3,8 @@
 Covers the all-pass frequency warp, a warped-cepstrum codec (log spectral
 envelope <-> truncated cepstrum on the warped axis), a YIN-style period
 estimator that runs on a block of frames at once, and a moving average.
-The harmonic probes themselves live in the analyzer (`acoustics._probe`).
+The harmonic probes themselves live in the analyzer (`acoustics._probe`,
+one Bluestein pass per block of voiced frames).
 """
 
 import numpy as np
@@ -48,9 +49,13 @@ class WarpedCepstrumCodec:
 
     def cepstrum(self, freqs_hz, log_env):
         """Truncated warped cepstrum of a log envelope sampled at freqs_hz (sorted)."""
-        on_grid = np.interp(self.node_freq_hz, freqs_hz, log_env)
-        c = dct(on_grid, type=1) / (2.0 * self.GRID_SIZE)
-        return c[: self.order]
+        return self.grid_cepstrum(np.interp(self.node_freq_hz, freqs_hz, log_env))
+
+    def grid_cepstrum(self, on_grid):
+        """Truncated warped cepstra of log envelopes sampled at node_freq_hz,
+        GRID_SIZE + 1 values along the last axis."""
+        c = dct(on_grid, type=1, axis=-1) / (2.0 * self.GRID_SIZE)
+        return c[..., : self.order]
 
     def envelope_matrix(self, freqs_hz):
         """(order, len(freqs_hz)) matrix M: `cep @ M` is the log envelope of
