@@ -47,7 +47,6 @@ SILENCE_RMS = 1e-4
 PEAK_MAX = 1e150
 
 ENV_PERIODS = 4
-ENV_WINDOW_MIN = 201
 ENV_WINDOW_MAX = 1601
 UNVOICED_WINDOW = 720
 UNVOICED_FFT = 2048
@@ -193,8 +192,8 @@ def analyze(waveform, fs, utt_id=""):
 def _voiced_envelopes(padded, centers, f0):
     """Cepstra and band aperiodicities of the voiced frames centred at
     padded[centers] with fundamentals f0, one row each, from one probe pass."""
-    w_len = np.round(ENV_PERIODS * FS / f0).astype(np.int64) | 1
-    w_len = np.clip(w_len, ENV_WINDOW_MIN, ENV_WINDOW_MAX)
+    # no lower clamp: a voiced f0 is at most 1.1 * F0_CEIL = 440 Hz, so w_len >= 219
+    w_len = np.minimum(np.round(ENV_PERIODS * FS / f0).astype(np.int64) | 1, ENV_WINDOW_MAX)
     width = w_len.max()
     # np.hanning(w_len) of each row, centred in the row (a shift changes no
     # |DFT|) and zero past its ends, so every row starts at c - width // 2
@@ -275,7 +274,8 @@ def synthesize(feat, fs):
 
     frame_pos = np.arange(length) / HOP
     lf0 = feat.lf0.astype(np.float64)
-    f0_samp = np.exp(np.interp(frame_pos, np.arange(n), lf0))
+    # capped where np.exp cannot overflow; the clip maps any f0 >= 0.9 * NYQUIST alike
+    f0_samp = np.exp(np.minimum(np.interp(frame_pos, np.arange(n), lf0), np.log(NYQUIST)))
     f0_samp = np.clip(f0_samp, 20.0, NYQUIST * 0.9)
     uv_samp = feat.uv[np.clip(np.round(frame_pos).astype(int), 0, n - 1)] > 0.5
 

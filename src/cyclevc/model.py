@@ -148,10 +148,10 @@ def _net_forward(model, net, x, want_cache=False, teachers=None):
     and their GRU projection) is computed for all frames of all columns up
     front, as (B * n)-row GEMMs; the per-frame loop holds only the recurrent
     products and in-place elementwise ops on preallocated (d, B) blocks. Each
-    history the output convs read (hidden states, conv outputs) is one flat
-    (n + k, d, B) buffer with k zero frames in front, so frame t is stored at
+    history the output convs read (hidden states, conv outputs) is one
+    (n + k, d, B) array with k zero frames in front, so frame t is stored at
     row t + k and its causal window of width k is the contiguous block of
-    rows t + 1 .. t + k.
+    rows t + 1 .. t + k of its (-1, B) view.
     """
     arch = model.arch
     params = model.params
@@ -180,7 +180,6 @@ def _net_forward(model, net, x, want_cache=False, teachers=None):
     gi_x = np.empty((n, 3 * h_dim, n_cols), dtype=dtype)
     for col in range(n_cols):
         np.add(a[col] @ wg_x_t, params[f"{net}.gru.bW"], out=gi_x[:, :, col])
-    a = a.reshape(n_cols * n, -1)
 
     # biases as C-ordered (d, B) blocks, so adding one is a single flat add
     bu = np.repeat(params[f"{net}.gru.bU"][:, None], n_cols, axis=1)
@@ -191,10 +190,9 @@ def _net_forward(model, net, x, want_cache=False, teachers=None):
     ]
     last = arch.out_conv_layers - 1
 
-    # flat histories: the hidden states, then each output conv layer
+    # histories: the hidden states, then each output conv layer
     dims = [h_dim] + [w.shape[0] for w in out_w]
-    flats = [np.zeros((n + k) * d * n_cols, dtype=dtype) for d in dims]
-    rows = [flat.reshape(n + k, d, n_cols) for flat, d in zip(flats, dims)]
+    rows = [np.zeros((n + k, d, n_cols), dtype=dtype) for d in dims]
     h_rows = rows[0]
     y_rows = rows[-1]
 
@@ -222,7 +220,7 @@ def _net_forward(model, net, x, want_cache=False, teachers=None):
     z_rows, r_rows = zr_rows[:, :h_dim], zr_rows[:, h_dim:]
     gi = np.empty((3 * h_dim, n_cols), dtype=dtype)
     gi_zr, gi_n = gi[: 2 * h_dim], gi[2 * h_dim :]
-    windows = [flat.reshape(-1, n_cols) for flat in flats]
+    windows = [hist.reshape(-1, n_cols) for hist in rows]
 
     for t in range(n):
         h_prev = h_rows[t + k - 1]
@@ -269,23 +267,23 @@ def _net_forward(model, net, x, want_cache=False, teachers=None):
     return y, cache
 
 
-def _net_backward(model, net, cache, d_y, input_cols=()):
+def _net_backward(model, net, cache, d_y, input_col=None):
     """Gradients of a scalar loss through one converter's B columns.
 
     `d_y` is the (n, out_dim, B) loss gradient w.r.t. the outputs. Returns
     the parameter gradients for this net, summed over the columns, and the
-    (n, in_dim, len(input_cols)) gradient w.r.t. the input columns named in
-    `input_cols` (None when it names none). Autoregressive feedback is
-    handled by adding each frame's GRU-input gradient onto the previous
-    frame's output gradient, in the free-running columns only: a teacher
-    column's feedback came from constants.
+    (n, in_dim) gradient w.r.t. input column `input_col` (None when it is
+    None). Autoregressive feedback is handled by adding each frame's
+    GRU-input gradient onto the previous frame's output gradient, in the
+    free-running columns only: a teacher column's feedback came from
+    constants.
 
     The ReLU masks and the gate-derivative factors are computed for all
     frames before the reverse loop, and each frame's gate gradients are
     written in place over its factors, so each frame costs its transposed
     (rows x d) @ (d x B) products and a few in-place multiplies. Gradients
-    that land on the zero frames in front of a history are discarded. The
-    weight gradients are reduced after the loop, one column at a time.
+    that land on the zero frames in front of a history are discarded. After
+    the loop, `weight_grad` reduces each weight over (B, n, d) column stacks.
     """
     arch = model.arch
     params = model.params
@@ -305,9 +303,8 @@ def _net_backward(model, net, cache, d_y, input_cols=()):
 
     rows = cache["rows"]
     dims = [r.shape[1] for r in rows]
-    d_flats = [np.zeros((n + k) * d * n_cols, dtype=dtype) for d in dims]
-    d_rows = [flat.reshape(n + k, d, n_cols) for flat, d in zip(d_flats, dims)]
-    d_windows = [flat.reshape(-1, n_cols) for flat in d_flats]
+    d_rows = [np.zeros_like(hist) for hist in rows]
+    d_windows = [hist.reshape(-1, n_cols) for hist in d_rows]
     d_rows[-1][k:] = d_y
     masks = [(hist[k:] > 0).astype(dtype) for hist in rows[1:-1]]
 
@@ -366,51 +363,51 @@ def _net_backward(model, net, cache, d_y, input_cols=()):
             d_fb *= feed
         d_y_rows[t + k - 1] += d_fb
 
-    wx = wg[:, : arch.conv_channels]
+    def stacked(a):  # (n, d, B) -> C-ordered (B, n, d)
+        return np.ascontiguousarray(a.transpose(2, 0, 1))
+
+    def weight_grad(d, u):
+        """d[b].T @ u[b] summed over the columns of two (B, n, .) arrays, in order."""
+        grad = d[0].T @ u[0]
+        for b in range(1, n_cols):
+            grad += d[b].T @ u[b]
+        return grad
+
     grads = {}
+    for layer in range(arch.out_conv_layers):
+        d_pre = stacked(d_rows[layer + 1][k:])
+        u = _unfold_rows(rows[layer][1:].transpose(2, 0, 1), n, k)
+        grads[f"{net}.out{layer}.W"] = weight_grad(d_pre, u)
+        grads[f"{net}.out{layer}.b"] = d_pre.sum(axis=1).sum(axis=0)
 
-    def accumulate(name, value):
-        if name in grads:
-            grads[name] += value
-        else:
-            grads[name] = value
+    # one stacked gate gradient at a time: each is as large as d_gi
+    d_gate = stacked(d_gi_flat)
+    u = np.concatenate([cache["a_top"], cache["ar"].transpose(2, 0, 1)], axis=2)
+    grads[f"{net}.gru.Wg"] = weight_grad(d_gate, u)
+    grads[f"{net}.gru.bW"] = d_gate.sum(axis=1).sum(axis=0)
+    d_a = d_gate @ wg[:, : arch.conv_channels]
+    del d_gate, u
+    d_gate = stacked(d_gh_flat)
+    grads[f"{net}.gru.Ug"] = weight_grad(d_gate, stacked(h_prev_rows))
+    grads[f"{net}.gru.bU"] = d_gate.sum(axis=1).sum(axis=0)
 
-    d_x = np.empty((n, arch.in_dim, len(input_cols)), dtype=dtype) if input_cols else None
-    for col in range(n_cols):
-        for layer in range(arch.out_conv_layers):
-            u = _unfold_rows(rows[layer][1:, :, col], n, k)
-            d_pre = np.ascontiguousarray(d_rows[layer + 1][k:, :, col])
-            accumulate(f"{net}.out{layer}.W", d_pre.T @ u)
-            accumulate(f"{net}.out{layer}.b", d_pre.sum(axis=0))
-
-        d_gi_col = np.ascontiguousarray(d_gi_flat[:, :, col])
-        d_gh_col = np.ascontiguousarray(d_gh_flat[:, :, col])
-        frames = slice(col * n, (col + 1) * n)
-        u_gru = np.concatenate([cache["a_top"][frames], cache["ar"][:, :, col]], axis=1)
-        accumulate(f"{net}.gru.Wg", d_gi_col.T @ u_gru)
-        accumulate(f"{net}.gru.bW", d_gi_col.sum(axis=0))
-        accumulate(f"{net}.gru.Ug", d_gh_col.T @ np.ascontiguousarray(h_prev_rows[:, :, col]))
-        accumulate(f"{net}.gru.bU", d_gh_col.sum(axis=0))
-
-        d_a = d_gi_col @ wx
-        for layer in range(arch.in_conv_layers - 1, -1, -1):
-            u, zpre = cache["in"][layer]
-            d_z = d_a * (zpre[frames] > 0)
-            accumulate(f"{net}.in{layer}.W", d_z.T @ u[frames])
-            accumulate(f"{net}.in{layer}.b", d_z.sum(axis=0))
-            if layer == 0 and col not in input_cols:
-                break
-            w = params[f"{net}.in{layer}.W"]
-            d_u = d_z @ w
-            cin = w.shape[1] // k
-            d_pad = np.zeros((n + k - 1, cin), dtype=dtype)
-            for i in range(k):
-                d_pad[i : i + n] += d_u[:, i * cin : (i + 1) * cin]
-            d_a = d_pad[k - 1 :]
-        if col in input_cols:
-            d_x[:, :, input_cols.index(col)] = d_a
-
-    return grads, d_x
+    # the input convs, on (B, n, d) arrays; layer 0's input gradient is
+    # formed for `input_col` alone
+    for layer in range(arch.in_conv_layers - 1, -1, -1):
+        u, zpre = cache["in"][layer]
+        d_z = d_a * (zpre.reshape(d_a.shape) > 0)
+        grads[f"{net}.in{layer}.W"] = weight_grad(d_z, u.reshape(n_cols, n, -1))
+        grads[f"{net}.in{layer}.b"] = d_z.sum(axis=1).sum(axis=0)
+        if layer == 0:
+            if input_col is None:
+                return grads, None
+            d_z = d_z[input_col, None]
+        d_u = (d_z @ params[f"{net}.in{layer}.W"]).reshape(len(d_z), n, k, -1)
+        d_pad = np.zeros((len(d_z), n + k - 1, d_u.shape[-1]), dtype=dtype)
+        for i in range(k):
+            d_pad[:, i : i + n] += d_u[:, :, i]
+        d_a = d_pad[:, k - 1 :]
+    return grads, d_a[0]
 
 
 def _run_one(model, net, x):
@@ -508,11 +505,11 @@ def loss_gradients(model, x_norm, y_norm, rho=RHO_DEFAULT, teacher_forcing=False
     scale = 1.0 / r1.size
     d_out = np.stack([np.sign(r1) * scale, np.sign(r2) * (rho * scale)], axis=2)
     grads, d_spliced = _net_backward(
-        model, "f", cache_f, d_out.astype(model.dtype), input_cols=(1,) if rho > 0.0 else ()
+        model, "f", cache_f, d_out.astype(model.dtype), input_col=1 if rho > 0.0 else None
     )
     if rho > 0.0:
         # prosody dims of the spliced input are constants w.r.t. parameters
-        g_g, _ = _net_backward(model, "g", cache_g, d_spliced[:, :MCEP_DIM])
+        g_g, _ = _net_backward(model, "g", cache_g, d_spliced[:, :MCEP_DIM, None])
         grads.update(g_g)
     else:
         for name, p in model.params.items():

@@ -25,7 +25,6 @@ from cyclevc.acoustics import (
     CAP_DB_FLOOR,
     ENV_PERIODS,
     ENV_WINDOW_MAX,
-    ENV_WINDOW_MIN,
     F0_CEIL,
     F0_FLOOR,
     FS,
@@ -51,6 +50,10 @@ from cyclevc.acoustics import (
 from cyclevc.errors import ConfigError
 from cyclevc.features import CAP_DIM, MCEP_DIM, UtteranceFeatures
 from cyclevc.sigproc import WarpedCepstrumCodec, warp_frequency
+
+# the reference's own lower clamp of the voiced window length; the current
+# analyzer has none, since a voiced f0 of at most 440 Hz never reaches it
+ENV_WINDOW_MIN = 201
 
 
 def _slice_padded(x, start, length):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_features, probe_amplitudes
-from cyclevc.acoustics import FS, HOP, _probe, analyze, synthesize
+from cyclevc.acoustics import FS, HOP, NYQUIST, _probe, analyze, synthesize
 from cyclevc.errors import ConfigError, InputError
 from cyclevc.evaluation import mcd_frame
 
@@ -107,6 +107,18 @@ def test_synthesis_is_deterministic():
     a = synthesize(feat, FS)
     b = synthesize(feat, FS)
     assert a.tobytes() == b.tobytes()
+
+
+def test_log_f0_past_the_exp_overflow_renders_as_the_f0_ceiling():
+    # np.exp overflows above ~709; every f0 from 0.9 * NYQUIST up renders
+    # at that ceiling, so lf0 = 800 must render as lf0 = log(NYQUIST)
+    feat = make_features("lf0", 30)
+    feat.lf0[10:20] = 800.0
+    capped = make_features("lf0", 30)
+    capped.lf0[10:20] = np.log(NYQUIST)
+    y = synthesize(feat, FS)
+    assert np.all(np.isfinite(y))
+    assert np.array_equal(y, synthesize(capped, FS))
 
 
 def test_unvoiced_flat_envelope_synthesizes_aperiodic_noise():
