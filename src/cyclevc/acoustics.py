@@ -17,10 +17,16 @@ Bluestein FFT convolution: one Bluestein pass per block of voiced frames
 (up to PROBE_ROWS of them), each row with its own window and chirp. Each
 frame's log envelope goes onto the codec's warped grid, and one DCT-I per
 batch of rows makes the cepstra.
+Blocks fill disjoint rows of the feature tracks, so an utterance's blocks
+run on a thread pool with one worker per usable CPU. A block does the same
+arithmetic at any worker count, so the features do not depend on it.
 Synthesis excites pulse and noise sources, mixes them per aperiodicity band,
 and applies the envelope with FFT overlap-add, in the same blocks of frames
 as analysis.
 """
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -146,39 +152,15 @@ def analyze(waveform, fs, utt_id=""):
     n = x.size // HOP + 1
     padded = np.zeros(PAD + (n - 1) * HOP + PAD)
     padded[PAD : PAD + x.size] = x
-
-    def frames(before, width):
-        """Rows x[c - before : c - before + width], zero outside x, for the
-        n frame centres c = t * HOP (strided views, no copy)."""
-        return sliding_window_view(padded[PAD - before :], width)[::HOP][:n]
-
-    yin_frames = frames(YIN_WINDOW // 2, YIN_WINDOW + YIN_TAU_MAX)
-    uv_frames = frames(UNVOICED_WINDOW // 2, UNVOICED_WINDOW)
     f0 = np.zeros(n)
     dip = np.ones(n)
     voiced = np.zeros(n, dtype=bool)
     mcep = np.zeros((n, MCEP_DIM))
     cap = np.zeros((n, CAP_DIM))  # unvoiced frames stay fully aperiodic (0 dB)
-    for lo in range(0, n, BLOCK_FRAMES):
-        hi = min(lo + BLOCK_FRAMES, n)
-        block, idx = slice(lo, hi), np.arange(lo, hi)
-        rms = np.sqrt(np.mean(yin_frames[block, :YIN_WINDOW] ** 2, axis=1))
-        loud = idx[rms > SILENCE_RMS]
-        if loud.size:
-            f0[loud], dip[loud] = yin_periods(yin_frames[loud], FS, F0_FLOOR, F0_CEIL, YIN_WINDOW)
-        voiced[block] = (
-            (dip[block] < VOICING_DIP_MAX)
-            & (f0[block] >= F0_FLOOR * 0.9)
-            & (f0[block] <= F0_CEIL * 1.1)
-            & (rms > SILENCE_RMS)
-        )
-        unvoiced = idx[~voiced[block]]
-        if unvoiced.size:
-            mcep[unvoiced] = _unvoiced_envelopes(uv_frames[unvoiced])
-        voiced_idx = idx[voiced[block]]
-        for sub in range(0, voiced_idx.size, PROBE_ROWS):
-            rows = voiced_idx[sub : sub + PROBE_ROWS]
-            mcep[rows], cap[rows] = _voiced_envelopes(padded, PAD + rows * HOP, f0[rows])
+    starts = range(0, n, BLOCK_FRAMES)
+    with ThreadPoolExecutor(min(_usable_cpus(), len(starts))) as pool:
+        # list() re-raises here the first exception of a block
+        list(pool.map(lambda lo: _analyze_block(padded, lo, f0, dip, voiced, mcep, cap), starts))
 
     return UtteranceFeatures(
         utt_id=utt_id,
@@ -187,6 +169,48 @@ def analyze(waveform, fs, utt_id=""):
         uv=voiced.astype(np.float32),
         cap=cap,
     )
+
+
+def _usable_cpus():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _frames(padded, n, before, width):
+    """Rows x[c - before : c - before + width], zero outside x, for the n
+    frame centres c = t * HOP of padded (strided views, no copy)."""
+    return sliding_window_view(padded[PAD - before :], width)[::HOP][:n]
+
+
+def _analyze_block(padded, lo, f0, dip, voiced, mcep, cap):
+    """Fill rows lo : lo + BLOCK_FRAMES of the frame tracks f0, dip, voiced,
+    mcep and cap of padded. A block reads no row of another, so blocks may
+    run in any order or concurrently; it spends most of its time in NumPy
+    and FFT calls that release the GIL."""
+    n = len(f0)
+    hi = min(lo + BLOCK_FRAMES, n)
+    block, idx = slice(lo, hi), np.arange(lo, hi)
+    yin_frames = _frames(padded, n, YIN_WINDOW // 2, YIN_WINDOW + YIN_TAU_MAX)
+    rms = np.sqrt(np.mean(yin_frames[block, :YIN_WINDOW] ** 2, axis=1))
+    loud = idx[rms > SILENCE_RMS]
+    if loud.size:
+        f0[loud], dip[loud] = yin_periods(yin_frames[loud], FS, F0_FLOOR, F0_CEIL, YIN_WINDOW)
+    voiced[block] = (
+        (dip[block] < VOICING_DIP_MAX)
+        & (f0[block] >= F0_FLOOR * 0.9)
+        & (f0[block] <= F0_CEIL * 1.1)
+        & (rms > SILENCE_RMS)
+    )
+    unvoiced = idx[~voiced[block]]
+    if unvoiced.size:
+        uv_frames = _frames(padded, n, UNVOICED_WINDOW // 2, UNVOICED_WINDOW)
+        mcep[unvoiced] = _unvoiced_envelopes(uv_frames[unvoiced])
+    voiced_idx = idx[voiced[block]]
+    for sub in range(0, voiced_idx.size, PROBE_ROWS):
+        rows = voiced_idx[sub : sub + PROBE_ROWS]
+        mcep[rows], cap[rows] = _voiced_envelopes(padded, PAD + rows * HOP, f0[rows])
 
 
 def _voiced_envelopes(padded, centers, f0):

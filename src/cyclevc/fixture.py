@@ -12,7 +12,7 @@ byte-identical; it exists to exercise the full pipeline, not to sound human.
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg.blas import dtbsv
 
 from .acoustics import FS
 from .errors import ConfigError
@@ -36,27 +36,53 @@ DEFAULT_UTTERANCES = 24
 DEFAULT_SEED = 20240917
 
 
+# band of each feedback-coefficient tuple, as long as the longest signal it
+# has filtered: 23 bands for the corpus, about 4 MB. A band is read-only once
+# built, so callers on any thread can share it; refilling one buffer per call
+# instead cost more than the filter itself.
+_BANDS = {}
+
+
+def _all_pole(gain, feedback, x):
+    """y[i] = gain * x[i] - sum_k feedback[k - 1] * y[i - k]: the filter
+    gain / (1 + feedback[0] z^-1 + ...), run as forward substitution through
+    the unit lower-triangular band matrix with the feedback on subdiagonals
+    1..len(feedback)."""
+    order, n = len(feedback), len(x)
+    band = _BANDS.get(feedback)
+    if band is None or band.shape[1] < n:
+        rows = np.ones((n, order + 1))
+        rows[:, 1:] = feedback
+        band = rows.T  # Fortran order: its leading columns are contiguous
+        band.flags.writeable = False
+        _BANDS[feedback] = band
+    return dtbsv(order, band[:, :n], gain * x, lower=1, diag=1, overwrite_x=1)
+
+
 def _resonator(x, freq, bw, fs):
     """Two-pole resonance with roughly unity peak gain."""
     r = np.exp(-np.pi * bw / fs)
     theta = 2.0 * np.pi * freq / fs
     gain = (1.0 - r) * np.sqrt(1.0 - 2.0 * r * np.cos(2.0 * theta) + r * r)
-    return lfilter([gain], [1.0, -2.0 * r * np.cos(theta), r * r], x)
+    return _all_pole(gain, (-2.0 * r * np.cos(theta), r * r), x)
 
 
 def _faded(amp, x):
     """x peak-normalized to amp, with CROSSFADE-sample linear fades at both ends."""
     n = len(x)
     x /= max(np.max(np.abs(x)), 1e-9)
-    fade = np.minimum(1.0, np.minimum(np.arange(n), n - 1 - np.arange(n)) / CROSSFADE)
-    return amp * x * fade
+    x *= amp
+    # the fade, min(1, distance to the nearer end / CROSSFADE), is 1 between the ends
+    ends = np.r_[: min(CROSSFADE, n), max(n - CROSSFADE, 0) : n]
+    x[ends] *= np.minimum(ends, n - 1 - ends) / CROSSFADE
+    return x
 
 
 def _glottal_pulses(n, f0_track, fs):
     exc = np.zeros(n)
     exc[pulse_positions(f0_track, fs)] = 1.0
     # -6 dB/octave tilt so the source resembles a glottal flow derivative
-    return lfilter([1.0], [1.0, -0.94], exc)
+    return _all_pole(1.0, (-0.94,), exc)
 
 
 def _vowel(rng, vowel, dur, f0_start, f0_end):

@@ -1,8 +1,11 @@
 """Command-line behaviour: exit codes, config files, and the full tool chain."""
 
 import dataclasses
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -580,3 +583,20 @@ def test_end_to_end_options_reach_the_report(tmp_path, corpus3, capsys):
     lines = (work / "report.txt").read_text().splitlines()
     assert "learning_rate=0.0005" in lines[1].split()
     assert "seed=5" in lines[2].split()
+
+
+# ----- import footprint ----------------------------------------------------------
+
+
+def test_commands_and_the_corpus_generator_do_not_import_scipy_signal():
+    # importing scipy.signal alone cost about 40 MB of RSS and a second
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = "import sys, cyclevc.cli, cyclevc.fixture; print('scipy.signal' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "False"

@@ -1,0 +1,131 @@
+"""Byte-identical outputs: analysis at any worker count, and the fixture corpus.
+
+`analyze` runs an utterance's blocks of frames on a thread pool. Each block
+does the same arithmetic wherever it runs, so the pooled result must equal,
+byte for byte, the block function run serially on the calling thread.
+"""
+
+import hashlib
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from cyclevc import acoustics
+from cyclevc.acoustics import BLOCK_FRAMES, FS, HOP, analyze
+from cyclevc.fixture import make_corpus
+from cyclevc.wavio import read_wav
+
+# sha256 over the bytes of utt000.wav .. utt023.wav, in order, of
+# make_corpus(n_utterances=24, seed=20240917)
+CORPUS_SHA256 = "3f2b0ae1a03bce7229fce361607899968a65ed2d5fffd5537689f4e11d37272c"
+
+
+class _CallingThread:
+    """Stands in for ThreadPoolExecutor: runs the tasks in order on the calling thread."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def _analyze_traced(monkeypatch, x, executor=None, cpus=None):
+    """analyze(x) and, per block, (start frame, thread id, float64 tracks)."""
+    calls = []
+    block = acoustics._analyze_block
+
+    def traced(padded, lo, *tracks):
+        calls.append((lo, threading.get_ident(), tracks))
+        block(padded, lo, *tracks)
+
+    with monkeypatch.context() as m:
+        m.setattr(acoustics, "_analyze_block", traced)
+        if executor is not None:
+            m.setattr(acoustics, "ThreadPoolExecutor", executor)
+        if cpus is not None:
+            m.setattr(acoustics, "_usable_cpus", lambda: cpus)
+        feat = analyze(x, FS)
+    return feat, calls
+
+
+def _track_bytes(calls):
+    return [a.tobytes() for a in calls[0][2]]
+
+
+@pytest.fixture(scope="module")
+def corpus_waves(tmp_path_factory):
+    paths = make_corpus(tmp_path_factory.mktemp("wav"), n_utterances=3, seed=20240917)
+    return [read_wav(p)[0] for p in paths]
+
+
+def _one_block_wave():
+    t = np.arange((BLOCK_FRAMES - 4) * HOP) / FS
+    return 0.3 * (2.0 * ((t * 140.0) % 1.0) - 1.0)
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 4])
+def test_pooled_analysis_equals_serial_blocks_on_the_calling_thread(monkeypatch, corpus_waves, cpus):
+    # cpus=None takes the machine's usable CPUs; 4 runs several workers
+    # even where only one CPU is usable
+    for x in [*corpus_waves, _one_block_wave()]:
+        serial, serial_calls = _analyze_traced(monkeypatch, x, executor=_CallingThread)
+        pooled, pooled_calls = _analyze_traced(monkeypatch, x, cpus=cpus)
+        main = threading.get_ident()
+        n_blocks = -(-serial.n_frames // BLOCK_FRAMES)
+        assert [lo for lo, _, _ in serial_calls] == list(range(0, serial.n_frames, BLOCK_FRAMES))
+        assert all(thread == main for _, thread, _ in serial_calls)
+        assert sorted(lo for lo, _, _ in pooled_calls) == [lo for lo, _, _ in serial_calls]
+        assert all(thread != main for _, thread, _ in pooled_calls)
+        if cpus == 1 or n_blocks == 1:
+            assert len({thread for _, thread, _ in pooled_calls}) == 1
+        assert _track_bytes(pooled_calls) == _track_bytes(serial_calls)
+        for name in ("mcep", "lf0", "uv", "cap"):
+            assert getattr(pooled, name).tobytes() == getattr(serial, name).tobytes(), name
+
+
+def test_more_workers_than_cpus_switching_often_give_the_same_bytes(monkeypatch, corpus_waves):
+    # a lost or misplaced row write shows as a byte difference
+    x = np.concatenate(corpus_waves)
+    serial, serial_calls = _analyze_traced(monkeypatch, x, executor=_CallingThread)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled, pooled_calls = _analyze_traced(monkeypatch, x, cpus=16)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len({thread for _, thread, _ in pooled_calls}) > 1
+    assert _track_bytes(pooled_calls) == _track_bytes(serial_calls)
+    assert pooled.mcep.tobytes() == serial.mcep.tobytes()
+
+
+def test_worker_count_is_usable_cpus_capped_at_the_block_count(monkeypatch, corpus_waves):
+    seen = []
+
+    class Spy(acoustics.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+            super().__init__(max_workers)
+
+    x = corpus_waves[0]
+    n_blocks = -(-(x.size // HOP + 1) // BLOCK_FRAMES)
+    assert n_blocks > 2
+    for cpus in (1, 2, n_blocks + 5):
+        _analyze_traced(monkeypatch, x, executor=Spy, cpus=cpus)
+    _analyze_traced(monkeypatch, _one_block_wave(), executor=Spy, cpus=4)  # one block
+    assert seen == [1, 2, n_blocks, 1]
+
+
+def test_fixture_corpus_bytes_are_pinned(tmp_path):
+    digest = hashlib.sha256()
+    for path in make_corpus(tmp_path, n_utterances=24, seed=20240917):
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == CORPUS_SHA256
