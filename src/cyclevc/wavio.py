@@ -23,7 +23,11 @@ def write_wav(path, x, fs):
         raise InputError(f"expected mono waveform, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise InputError(f"{path}: waveform holds non-finite samples")
-    pcm = np.clip(np.round(x * _PCM_SCALE), -32768, 32767).astype("<i2")
+    # one float buffer, rounded and clipped in place
+    pcm = x * _PCM_SCALE
+    np.round(pcm, out=pcm)
+    np.clip(pcm, -32768, 32767, out=pcm)
+    pcm = pcm.astype("<i2")
     buf = io.BytesIO()
     with wave.open(buf, "wb") as w:
         w.setnchannels(1)

@@ -1,5 +1,11 @@
 """Pairing, optimizer, and training-loop oracles."""
 
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -209,6 +215,52 @@ def test_saved_model_reproduces_the_forward_pass(tmp_path, rng):
     loaded = load_checkpoint(path)
     x = rng.normal(size=(12, 50))
     assert np.array_equal(stot_forward(model, x), stot_forward(loaded, x))
+
+
+# minor page faults per training step, in a fresh process: a five-epoch job
+# on one 519-frame pair less a one-epoch job, over the four steps between
+# them, so what every job faults in once (its model and Adam state) cancels
+_FAULTS_PER_STEP = """
+import resource
+import numpy as np
+from cyclevc.features import UtteranceFeatures
+from cyclevc.training import TrainConfig, pair_features, train
+
+rng = np.random.default_rng(0)
+def feat(n):
+    return UtteranceFeatures(utt_id="u", mcep=rng.normal(0.0, 0.5, (n, 45)),
+                             lf0=rng.uniform(4.6, 5.5, n), uv=np.ones(n, np.float32),
+                             cap=rng.uniform(-60.0, 0.0, (n, 3)))
+pairs = [pair_features("u", feat(519), feat(519))]
+def faults(epochs):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train(pairs, TrainConfig(epochs=epochs))
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+faults(1)
+print((faults(5) - faults(1)) / 4)
+"""
+
+
+@pytest.mark.skipif(
+    platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+    reason="counts glibc's heap trims as page faults",
+)
+def test_training_steps_keep_their_freed_heap_mapped():
+    # a step that gives its freed pages back faults thousands of them in
+    # again: 3,652-9,033 per step in ten processes with the 30 MiB block
+    # left out of train(), 0-48 with it. Without the block, whether a
+    # process trims follows its allocation order, so a train() that still
+    # held each step's gradients through the next step (they can pin the
+    # heap top) took 205-2,578 and may pass without it.
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", _FAULTS_PER_STEP],
+        env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert float(out) < 1000
 
 
 # ----- loss curve file ------------------------------------------------------------
