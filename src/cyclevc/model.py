@@ -43,6 +43,7 @@ RHO_DEFAULT = 1e-8
 CHECKPOINT_FORMAT = "cyclevc-checkpoint-v1"
 
 _NETS = ("f", "g")
+_GRAD_BLOCK = 64  # rows per BLAS call in a weight-gradient sum, so its order is fixed
 
 
 @dataclass(frozen=True)
@@ -176,10 +177,9 @@ def _net_forward(model, net, x, want_cache=False, teachers=None):
     wg = params[f"{net}.gru.Wg"]
     ug = params[f"{net}.gru.Ug"]
     wg_y = np.ascontiguousarray(wg[:, arch.conv_channels :])
-    wg_x_t = wg[:, : arch.conv_channels].T
     gi_x = np.empty((n, 3 * h_dim, n_cols), dtype=dtype)
-    for col in range(n_cols):
-        np.add(a[col] @ wg_x_t, params[f"{net}.gru.bW"], out=gi_x[:, :, col])
+    proj = (a.reshape(n_cols * n, -1) @ wg[:, : arch.conv_channels].T).reshape(n_cols, n, -1)
+    np.add(proj, params[f"{net}.gru.bW"], out=gi_x.transpose(2, 0, 1))
 
     # biases as C-ordered (d, B) blocks, so adding one is a single flat add
     bu = np.repeat(params[f"{net}.gru.bU"][:, None], n_cols, axis=1)
@@ -283,7 +283,7 @@ def _net_backward(model, net, cache, d_y, input_col=None):
     written in place over its factors, so each frame costs its transposed
     (rows x d) @ (d x B) products and a few in-place multiplies. Gradients
     that land on the zero frames in front of a history are discarded. After
-    the loop, `weight_grad` reduces each weight over (B, n, d) column stacks.
+    the loop, `weight_grad` sums each weight over (B * n)-row stacks in fixed blocks.
     """
     arch = model.arch
     params = model.params
@@ -367,10 +367,12 @@ def _net_backward(model, net, cache, d_y, input_col=None):
         return np.ascontiguousarray(a.transpose(2, 0, 1))
 
     def weight_grad(d, u):
-        """d[b].T @ u[b] summed over the columns of two (B, n, .) arrays, in order."""
-        grad = d[0].T @ u[0]
-        for b in range(1, n_cols):
-            grad += d[b].T @ u[b]
+        """d.T @ u of two (B * n)-row stacks in _GRAD_BLOCK-row blocks, in order: thread-invariant
+        while OpenBLAS keeps each block on one thread, as 0.3.31 does but does not promise."""
+        d, u = d.reshape(-1, d.shape[-1]), u.reshape(-1, u.shape[-1])
+        grad = d[:_GRAD_BLOCK].T @ u[:_GRAD_BLOCK]
+        for lo in range(_GRAD_BLOCK, len(d), _GRAD_BLOCK):
+            grad += d[lo : lo + _GRAD_BLOCK].T @ u[lo : lo + _GRAD_BLOCK]
         return grad
 
     grads = {}
@@ -396,7 +398,7 @@ def _net_backward(model, net, cache, d_y, input_col=None):
     for layer in range(arch.in_conv_layers - 1, -1, -1):
         u, zpre = cache["in"][layer]
         d_z = d_a * (zpre.reshape(d_a.shape) > 0)
-        grads[f"{net}.in{layer}.W"] = weight_grad(d_z, u.reshape(n_cols, n, -1))
+        grads[f"{net}.in{layer}.W"] = weight_grad(d_z, u)
         grads[f"{net}.in{layer}.b"] = d_z.sum(axis=1).sum(axis=0)
         if layer == 0:
             if input_col is None:

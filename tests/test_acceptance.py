@@ -99,10 +99,11 @@ def test_enhanced_features_beat_synthetic_by_a_margin(runs):
 
 
 # Headline MCDs of the default run on the fixed corpus, pinned so that an
-# unintended numeric change shows. 5e-3 dB covers the OpenBLAS thread-count
-# effect (up to 1.6e-3 dB). A change that moves the numerics on purpose
-# updates these values and records the shift.
-PINNED_HEADLINE_DB = {"mcd_enhanced_natural": 1.612583, "mcd_enhanced_pseudo": 0.804163}
+# unintended numeric change shows. The run is the same bytes at any OpenBLAS
+# thread count; 5e-3 dB covers other CPUs' BLAS kernels, which may round
+# differently. A change that moves the numerics on purpose updates these
+# values and records the shift.
+PINNED_HEADLINE_DB = {"mcd_enhanced_natural": 1.612582, "mcd_enhanced_pseudo": 0.804121}
 PINNED_TOLERANCE_DB = 5e-3
 
 

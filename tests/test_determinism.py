@@ -1,4 +1,5 @@
-"""Byte-identical outputs: analysis at any worker count, and the fixture corpus.
+"""Byte-identical outputs: analysis at any worker count, training gradients
+at any BLAS thread count, and the fixture corpus.
 
 `analyze` runs an utterance's blocks of frames on a thread pool. Each block
 does the same arithmetic wherever it runs, so the pooled result must equal,
@@ -6,8 +7,12 @@ byte for byte, the block function run serially on the calling thread.
 """
 
 import hashlib
+import json
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +127,45 @@ def test_worker_count_is_usable_cpus_capped_at_the_block_count(monkeypatch, corp
         _analyze_traced(monkeypatch, x, executor=Spy, cpus=cpus)
     _analyze_traced(monkeypatch, _one_block_wave(), executor=Spy, cpus=4)  # one block
     assert seen == [1, 2, n_blocks, 1]
+
+
+# sha256 of every loss_gradients tensor of one fixed 519-frame pair at the
+# default architecture
+_GRADIENT_DIGESTS = """
+import hashlib, json
+import numpy as np
+from cyclevc.features import N_DIMS, NormStats
+from cyclevc.model import CycleVCModel, ModelArch, loss_gradients
+
+norm = NormStats(mean=np.zeros(N_DIMS), std=np.ones(N_DIMS))
+model = CycleVCModel.init(ModelArch(), norm, norm, seed=3)
+rng = np.random.default_rng(519)
+x, y = rng.normal(size=(2, 519, N_DIMS))
+_, grads = loss_gradients(model, x, y)
+print(json.dumps({name: hashlib.sha256(g.tobytes()).hexdigest() for name, g in grads.items()}))
+"""
+
+
+def test_training_gradients_are_the_same_bytes_at_any_blas_thread_count():
+    # a GEMM that reduces a whole sequence lets OpenBLAS choose the order of
+    # its sums by thread count; at 318 frames the orders happened to agree,
+    # so the pair is longer than that
+    src = Path(__file__).resolve().parent.parent / "src"
+    digests = [
+        json.loads(
+            subprocess.run(
+                [sys.executable, "-c", _GRADIENT_DIGESTS],
+                env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=str(threads)),
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+        )
+        for threads in (1, 2, 4)
+    ]
+    assert len(digests[0]) == 24
+    for other in digests[1:]:
+        assert other == digests[0]
 
 
 def test_fixture_corpus_bytes_are_pinned(tmp_path):

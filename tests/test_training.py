@@ -223,6 +223,10 @@ def test_saved_model_reproduces_the_forward_pass(tmp_path, rng):
 _FAULTS_PER_STEP = """
 import resource
 import numpy as np
+# freeing one 3 MB block before anything else sets glibc's trim threshold to
+# 6 MB, so without train()'s 30 MiB block a step's freed heap is trimmed on
+# every run, not only under some allocation orders
+np.empty(3 << 20, dtype=np.uint8)
 from cyclevc.features import UtteranceFeatures
 from cyclevc.training import TrainConfig, pair_features, train
 
@@ -247,11 +251,11 @@ print((faults(5) - faults(1)) / 4)
 )
 def test_training_steps_keep_their_freed_heap_mapped():
     # a step that gives its freed pages back faults thousands of them in
-    # again: 3,652-9,033 per step in ten processes with the 30 MiB block
-    # left out of train(), 0-48 with it. Without the block, whether a
-    # process trims follows its allocation order, so a train() that still
-    # held each step's gradients through the next step (they can pin the
-    # heap top) took 205-2,578 and may pass without it.
+    # again: 7,648-9,847 per step in three processes with the 30 MiB block
+    # left out of train(), -48-190 with it. Without the 3 MB block at the
+    # top of the script, whether a process trims followed its allocation
+    # order, and a train() that held each step's gradients through the next
+    # step (they can pin the heap top) took 205-2,578, sometimes passing.
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run(
         [sys.executable, "-c", _FAULTS_PER_STEP],
