@@ -44,8 +44,8 @@ class DegradeConfig:
             )
         if not 0 <= self.noise_std < math.inf:
             raise ConfigError(f"noise_std must be non-negative and finite, got {self.noise_std!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def _moving_average(x, window):

@@ -29,6 +29,7 @@ four frame loops per step instead of six.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -133,7 +134,7 @@ def _unfold_rows(pad, n, k):
     return np.concatenate([pad[..., i : i + n, :] for i in range(k)], axis=-1)
 
 
-def _net_forward(model, net, x, want_cache=False, teachers=None):
+def _net_forward(model, net, x, teachers=None):
     """Run one converter over B normalized sequences of equal length at once.
 
     `x` is (n, in_dim, B), time-major and batch-minor: column b is one
@@ -143,7 +144,8 @@ def _net_forward(model, net, x, want_cache=False, teachers=None):
     matrix-vector products. `teachers`, when given, holds one entry per
     column: None runs that column free, and an (n, out_dim) array replaces
     its autoregressive feedback (teacher forcing; frame t consumes
-    teacher[t-1]). Returns the (n, out_dim, B) outputs and the cache.
+    teacher[t-1]). Returns the (n, out_dim, B) outputs and the cache
+    `_net_backward` reads, which a caller that runs no backward pass drops.
 
     Everything that does not depend on the previous frame (the input convs
     and their GRU projection) is computed for all frames of all columns up
@@ -170,8 +172,7 @@ def _net_forward(model, net, x, want_cache=False, teachers=None):
         pad = np.concatenate([np.zeros((n_cols, k - 1, a.shape[-1]), dtype=dtype), a], axis=1)
         u = _unfold_rows(pad, n, k).reshape(n_cols * n, -1)
         z = u @ w.T + b
-        if want_cache:
-            in_cache.append((u, z))
+        in_cache.append((u, z))
         a = np.maximum(z, 0.0).reshape(n_cols, n, -1)
 
     wg = params[f"{net}.gru.Wg"]
@@ -252,8 +253,6 @@ def _net_forward(model, net, x, want_cache=False, teachers=None):
             np.copyto(ar_full[t + 1], y_rows[t + k], where=feed)
 
     y = y_rows[k:].copy()
-    if not want_cache:
-        return y, None
     cache = {
         "in": in_cache,
         "a_top": a,
@@ -270,13 +269,13 @@ def _net_forward(model, net, x, want_cache=False, teachers=None):
 def _net_backward(model, net, cache, d_y, input_col=None):
     """Gradients of a scalar loss through one converter's B columns.
 
-    `d_y` is the (n, out_dim, B) loss gradient w.r.t. the outputs. Returns
-    the parameter gradients for this net, summed over the columns, and the
-    (n, in_dim) gradient w.r.t. input column `input_col` (None when it is
-    None). Autoregressive feedback is handled by adding each frame's
+    `cache` is what `_net_forward` returned for the columns, and `d_y` the
+    (n, out_dim, B) loss gradient w.r.t. their outputs. Returns the
+    parameter gradients for this net, summed over the columns, and the
+    (n, in_dim) gradient w.r.t. input column `input_col`, or None when it is
+    None (g's input is data). Autoregressive feedback adds each frame's
     GRU-input gradient onto the previous frame's output gradient, in the
-    free-running columns only: a teacher column's feedback came from
-    constants.
+    free-running columns only: a teacher column's feedback came from constants.
 
     The ReLU masks and the gate-derivative factors are computed for all
     frames before the reverse loop, and each frame's gate gradients are
@@ -433,17 +432,17 @@ def splice_prosody(mcep_norm, y_norm, norm_src, norm_tgt):
     return np.concatenate([mcep_norm, as_src.astype(mcep_norm.dtype)], axis=1)
 
 
-def _splice_back(model, y, want_cache=False):
+def _splice_back(model, y):
     """splice(g(Y), Y) of a validated target sequence in the model's dtype,
     and the cache of g."""
-    back, cache_g = _net_forward(model, "g", y[:, :, None], want_cache)
+    back, cache_g = _net_forward(model, "g", y[:, :, None])
     return splice_prosody(back[:, :, 0], y, model.norm_src, model.norm_tgt), cache_g
 
 
 def cycle_path(model, y_norm):
     """Self-conversion f(splice(g(Y), Y)) of a normalized target sequence."""
     y = _validate_seq(y_norm, model.arch.in_dim, "target sequence")
-    spliced, _ = _splice_back(model, np.ascontiguousarray(y, dtype=model.dtype))
+    spliced = _splice_back(model, np.ascontiguousarray(y, dtype=model.dtype))[0]  # frees g's cache before f runs
     return _run_one(model, "f", spliced)
 
 
@@ -460,10 +459,10 @@ class LossBreakdown:
         object.__setattr__(self, "total", self.stot_l1 + self.rho * self.cycle_l1)
 
 
-def _objective(model, x_norm, y_norm, rho, teacher_forcing, want_cache):
+def _objective(model, x_norm, y_norm, rho, teacher_forcing):
     """The joint objective on one normalized pair. Returns the breakdown, the
     float64 residuals f(X) - Y and f(splice(g(Y), Y)) - Y (mcep dims), and
-    the caches of g and of f, which are None unless `want_cache`.
+    the caches of g and of f.
 
     Both f passes share f's weights and the frame count, so they run as the
     two columns of one pass over [X, splice(g(Y), Y)]: under teacher forcing
@@ -475,14 +474,14 @@ def _objective(model, x_norm, y_norm, rho, teacher_forcing, want_cache):
         raise PairingError(
             f"paired sequences must have equal frame counts, got {x.shape[0]} vs {y.shape[0]}"
         )
-    if rho < 0:
-        raise ConfigError("rho must be non-negative")
+    if not 0 <= rho < math.inf:
+        raise ConfigError(f"rho must be non-negative and finite, got {rho!r}")
     y = np.ascontiguousarray(y, dtype=model.dtype)
     y_mc = y[:, :MCEP_DIM]
-    spliced, cache_g = _splice_back(model, y, want_cache)
+    spliced, cache_g = _splice_back(model, y)
     both = np.stack([x.astype(model.dtype, copy=False), spliced], axis=2)
     teachers = (y_mc, None) if teacher_forcing else None
-    out, cache_f = _net_forward(model, "f", both, want_cache, teachers)
+    out, cache_f = _net_forward(model, "f", both, teachers)
     r1, r2 = (out[:, :, col].astype(np.float64) - y_mc.astype(np.float64) for col in (0, 1))
     stot, cyc = (float(np.mean(np.abs(r))) for r in (r1, r2))
     breakdown = LossBreakdown(stot_l1=stot, cycle_l1=cyc, rho=rho)
@@ -491,7 +490,7 @@ def _objective(model, x_norm, y_norm, rho, teacher_forcing, want_cache):
 
 def cycle_loss(model, x_norm, y_norm, rho=RHO_DEFAULT):
     """Joint objective on one normalized pair (no gradients)."""
-    return _objective(model, x_norm, y_norm, rho, teacher_forcing=False, want_cache=False)[0]
+    return _objective(model, x_norm, y_norm, rho, teacher_forcing=False)[0]
 
 
 def loss_gradients(model, x_norm, y_norm, rho=RHO_DEFAULT, teacher_forcing=False):
@@ -499,24 +498,15 @@ def loss_gradients(model, x_norm, y_norm, rho=RHO_DEFAULT, teacher_forcing=False
 
     One backward pass of f over both columns, the cycle column pre-scaled by
     rho, sums the two f terms' weight gradients; the gradient w.r.t. the
-    cycle column's input then runs back through g.
+    cycle column's input then runs back through g at every rho: at rho = 0
+    g's gradients are zeros, so Adam leaves g unchanged.
     """
-    breakdown, r1, r2, (cache_g, cache_f) = _objective(
-        model, x_norm, y_norm, rho, teacher_forcing, want_cache=True
-    )
+    breakdown, r1, r2, (cache_g, cache_f) = _objective(model, x_norm, y_norm, rho, teacher_forcing)
     scale = 1.0 / r1.size
     d_out = np.stack([np.sign(r1) * scale, np.sign(r2) * (rho * scale)], axis=2)
-    grads, d_spliced = _net_backward(
-        model, "f", cache_f, d_out.astype(model.dtype), input_col=1 if rho > 0.0 else None
-    )
-    if rho > 0.0:
-        # prosody dims of the spliced input are constants w.r.t. parameters
-        g_g, _ = _net_backward(model, "g", cache_g, d_spliced[:, :MCEP_DIM, None])
-        grads.update(g_g)
-    else:
-        for name, p in model.params.items():
-            if name.startswith("g."):
-                grads[name] = np.zeros_like(p)
+    grads, d_spliced = _net_backward(model, "f", cache_f, d_out.astype(model.dtype), input_col=1)
+    # prosody dims of the spliced input are constants w.r.t. parameters
+    grads.update(_net_backward(model, "g", cache_g, d_spliced[:, :MCEP_DIM, None])[0])
     return breakdown, grads
 
 
@@ -590,7 +580,7 @@ def load_checkpoint(path):
         std=_parse_vector(fields["tgt_std"], "tgt_std"),
     )
     shapes = param_shapes(arch)
-    expected = sum(int(np.prod(s)) for s in shapes.values())
+    expected = sum(math.prod(s) for s in shapes.values())
     blob = raw[sep + 2 :]
     if len(blob) != 4 * expected:
         raise FormatError(
@@ -613,7 +603,7 @@ def load_checkpoint(path):
     params = {}
     offset = 0
     for name, shape in shapes.items():
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         params[name] = flat[offset : offset + size].reshape(shape).copy()
         offset += size
     return CycleVCModel(arch=arch, params=params, norm_src=norm_src, norm_tgt=norm_tgt)

@@ -43,6 +43,12 @@ class TrainConfig:
     arch: ModelArch = field(default_factory=ModelArch)
 
     def __post_init__(self):
+        for name in ("epochs", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.teacher_forcing, bool):
+            raise ConfigError(f"teacher_forcing must be a bool, got {self.teacher_forcing!r}")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if not 0 <= self.rho < math.inf:

@@ -36,6 +36,12 @@ def test_windows_must_be_positive_integers():
         DegradeConfig(lf0_smooth_window=5.0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
+def test_seed_must_be_a_non_negative_integer(seed):
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+        DegradeConfig(seed=seed)
+
+
 def test_variance_scale_and_noise_bounds():
     with pytest.raises(ConfigError, match="variance_scale"):
         DegradeConfig(variance_scale=1.2)

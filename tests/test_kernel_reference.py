@@ -126,7 +126,7 @@ def test_every_column_of_a_batched_pass_matches_its_single_column_pass(n_cols, k
     model = _model(kernel)
     xs, teachers, d_ys = _columns(n_cols, n)
     for net in ("f", "g"):
-        out, cache = core._net_forward(model, net, np.stack(xs, axis=2), True, teachers)
+        out, cache = core._net_forward(model, net, np.stack(xs, axis=2), teachers)
         assert out.shape == (n, 45, n_cols)
         # one input column per backward pass, as a training step asks for
         # column 1 of its 2-column f pass; the parameter gradients do not
@@ -142,7 +142,7 @@ def test_every_column_of_a_batched_pass_matches_its_single_column_pass(n_cols, k
         ref_grads = {}
         for col, (_, d_x) in enumerate(passes):
             assert d_x.shape == (n, 50)
-            one, one_cache = core._net_forward(model, net, xs[col][:, :, None], True, [teachers[col]])
+            one, one_cache = core._net_forward(model, net, xs[col][:, :, None], [teachers[col]])
             assert np.max(np.abs(out[:, :, col] - one[:, :, 0])) <= OUT_ATOL, (net, col)
             one_grads, one_d_x = core._net_backward(
                 model, net, one_cache, d_ys[col][:, :, None], input_col=0
@@ -157,7 +157,7 @@ def test_every_column_of_a_batched_pass_matches_its_single_column_pass(n_cols, k
 def test_a_pass_without_input_columns_forms_no_input_gradient():
     model = _model(3)
     x, y = _pair(5)
-    _, cache = core._net_forward(model, "g", np.stack([x, y], axis=2), want_cache=True)
+    _, cache = core._net_forward(model, "g", np.stack([x, y], axis=2))
     grads, d_x = core._net_backward(model, "g", cache, np.ones((5, 45, 2), dtype=np.float32))
     assert d_x is None
     assert set(grads) == {name for name in model.params if name.startswith("g.")}

@@ -224,7 +224,7 @@ def test_cycle_path_is_the_documented_composition(rng):
 
 
 def test_identity_converters_make_the_cycle_reproduce_the_target(rng, monkeypatch):
-    def fake_forward(model, net, x, want_cache=False, teachers=None):
+    def fake_forward(model, net, x, teachers=None):
         out = np.asarray(x, dtype=np.float32)[:, :45].copy()
         return out, None
 
@@ -306,6 +306,15 @@ def test_pairing_and_config_errors(rng):
         cycle_loss(model, rng.normal(size=(5, 50)), rng.normal(size=(4, 50)))
     with pytest.raises(ConfigError, match="rho"):
         loss_gradients(model, rng.normal(size=(4, 50)), rng.normal(size=(4, 50)), rho=-0.1)
+
+
+@pytest.mark.parametrize("rho", [float("nan"), float("inf"), -1.0])
+def test_objective_rejects_a_negative_or_non_finite_rho(rng, rho):
+    model = make_model()
+    x, y = _rand_pair(rng, 4)
+    for objective in (cycle_loss, loss_gradients):
+        with pytest.raises(ConfigError, match="rho must be non-negative and finite"):
+            objective(model, x, y, rho=rho)
 
 
 def test_gradients_match_finite_differences_spot_check(rng):
@@ -489,6 +498,21 @@ def test_checkpoint_with_wrong_param_count_is_rejected(tmp_path):
     path = _saved(tmp_path)
     _edit_header(path, "param_count=3942", "param_count=9999")
     with pytest.raises(FormatError, match="declares 9999"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_parameter_count_is_exact_past_64_bits(tmp_path):
+    # 2**40 hidden units at the default layer counts declare about 7.3e24
+    # floats; a product of int64 shapes would wrap and report another count
+    path = _saved(tmp_path)
+    header, blob = _split_checkpoint(path)
+    arch = dict(in_conv_layers=2, conv_channels=4, kernel=3, gru_hidden=2**40, out_conv_layers=2)
+    lines = []
+    for line in header.splitlines():
+        key = line.partition("=")[0]
+        lines.append(f"{key}={arch[key]}" if key in arch else line)
+    _write_checkpoint(path, "\n".join(lines), blob)
+    with pytest.raises(FormatError, match=r"\(7253554918050613885405626 float32 values"):
         load_checkpoint(path)
 
 

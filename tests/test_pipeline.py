@@ -55,7 +55,7 @@ def test_enhanced_features_keep_prosody_bit_exactly(n_frames):
 
 
 def test_identity_converters_make_both_paths_no_ops(monkeypatch):
-    def fake_forward(model, net, x, want_cache=False, teachers=None):
+    def fake_forward(model, net, x, teachers=None):
         return np.asarray(x, dtype=np.float32)[:, :45].copy(), None
 
     monkeypatch.setattr("cyclevc.model._net_forward", fake_forward)

@@ -12,7 +12,7 @@ import pytest
 from conftest import make_features, tiny_arch
 from cyclevc.errors import ConfigError, InputError, PairingError, TrainingError
 from cyclevc.features import write_features, write_manifest
-from cyclevc.model import LossBreakdown, load_checkpoint, save_checkpoint, stot_forward
+from cyclevc.model import CycleVCModel, LossBreakdown, load_checkpoint, save_checkpoint, stot_forward
 from cyclevc.training import (
     AdamOptimizer,
     TrainConfig,
@@ -117,6 +117,16 @@ def test_train_config_defaults_and_validation():
         TrainConfig(learning_rate=0.0)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("epochs", 1.5), ("epochs", True), ("seed", 1.5), ("seed", False), ("seed", "7"),
+     ("teacher_forcing", "no"), ("teacher_forcing", 1)],
+)
+def test_train_config_rejects_a_field_of_the_wrong_type(name, value):
+    with pytest.raises(ConfigError, match=name):
+        TrainConfig(**{name: value})
+
+
 # ----- optimizer ------------------------------------------------------------------
 
 
@@ -175,6 +185,18 @@ def test_training_seed_changes_the_result(tmp_path):
     assert any(
         not np.array_equal(model_a.params[k], model_b.params[k]) for k in model_a.params
     )
+
+
+def test_training_at_rho_zero_leaves_the_backward_converter_bit_unchanged():
+    # g learns only through the cycle term: at rho = 0 its gradients are
+    # zeros at every step, and Adam does not move a parameter whose
+    # gradients were all zeros
+    config = _fast_config(rho=0.0)
+    model, _ = train(_pairs(2), config)
+    init_ss = np.random.SeedSequence(config.seed).spawn(2)[0]
+    init = CycleVCModel.init(config.arch, model.norm_src, model.norm_tgt, seed=init_ss)
+    moved = {name for name in model.params if model.params[name].tobytes() != init.params[name].tobytes()}
+    assert moved == {name for name in model.params if name.startswith("f.")}
 
 
 def test_curve_has_one_entry_per_epoch_and_the_loss_decreases():
