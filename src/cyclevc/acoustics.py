@@ -32,7 +32,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import fft, ifft, irfft, next_fast_len, rfft, rfftfreq
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, ShapeError
 from .features import CAP_DB_FLOOR, CAP_DIM, FRAME_SHIFT_MS, MCEP_DIM, UtteranceFeatures
 from .sigproc import WarpedCepstrumCodec, box_smooth, hann_periodic, pulse_positions, yin_periods
 
@@ -135,14 +135,14 @@ _SYN_BAND_OF_BIN = np.searchsorted(CAP_EDGES, _SYN_FREQS, side="right")
 
 
 def analyze(waveform, fs, utt_id=""):
-    """UtteranceFeatures of a waveform sampled at FS."""
+    """UtteranceFeatures of a mono (1-D) waveform sampled at FS."""
     if fs != FS:
         raise ConfigError(f"unsupported fs {fs}; the analyzer runs at {FS} Hz")
-    x = np.asarray(waveform, dtype=np.float64).ravel()
-    if x.size == 0:
-        raise InputError("empty waveform")
+    x = np.asarray(waveform, dtype=np.float64)
+    if x.ndim != 1:
+        raise ShapeError(f"expected mono waveform, got shape {x.shape}")
     if x.size < HOP:
-        raise InputError(f"waveform shorter than one frame ({HOP} samples)")
+        raise InputError(f"waveform is empty or shorter than one frame ({HOP} samples)")
     peak = np.max(np.abs(x))
     if not np.isfinite(peak):
         raise InputError("waveform contains non-finite samples")

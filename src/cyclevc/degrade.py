@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import check
 from .features import UtteranceFeatures
 
 @dataclass(frozen=True)
@@ -33,19 +33,11 @@ class DegradeConfig:
 
     def __post_init__(self):
         for name in ("smooth_window", "lf0_smooth_window"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-            if value % 2 == 0:
-                raise ConfigError(f"{name} must be odd, got {value}")
-        if not 0.0 <= self.variance_scale <= 1.0:
-            raise ConfigError(
-                f"variance_scale must be in [0, 1], got {self.variance_scale!r}"
-            )
-        if not 0 <= self.noise_std < math.inf:
-            raise ConfigError(f"noise_std must be non-negative and finite, got {self.noise_std!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+            check(name, getattr(self, name), int, "a positive integer", lambda v: v >= 1)
+            check(name, getattr(self, name), int, "odd", lambda v: v % 2 == 1)
+        check("variance_scale", self.variance_scale, float, "in [0, 1]", lambda v: 0 <= v <= 1)
+        check("noise_std", self.noise_std, float, "non-negative and finite", lambda v: 0 <= v < math.inf)
+        check("seed", self.seed, int, "a non-negative integer", lambda v: v >= 0)
 
 
 def _moving_average(x, window):

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg.blas import dtbsv
 
 from .acoustics import FS
-from .errors import ConfigError
+from .errors import check
 from .sigproc import pulse_positions
 from .wavio import write_wav
 
@@ -129,10 +129,8 @@ def synth_utterance(rng):
 
 def make_corpus(out_dir, n_utterances=DEFAULT_UTTERANCES, seed=DEFAULT_SEED):
     """Write `n_utterances` seeded WAV files; returns the sorted paths."""
-    if n_utterances < 1:
-        raise ConfigError("n_utterances must be >= 1")
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed!r}")
+    check("n_utterances", n_utterances, int, ">= 1", lambda v: v >= 1)
+    check("seed", seed, int, "a non-negative integer", lambda v: v >= 0)
     out_dir = Path(out_dir)
     root = np.random.SeedSequence(seed)
     paths = []

@@ -36,7 +36,7 @@ from typing import ClassVar
 import numpy as np
 from scipy.special import expit
 
-from .errors import ConfigError, FormatError, InputError, PairingError, ShapeError
+from .errors import ConfigError, FormatError, InputError, PairingError, ShapeError, check
 from .features import MCEP_DIM, N_DIMS, NormStats, write_atomic
 
 RHO_DEFAULT = 1e-8
@@ -62,9 +62,7 @@ class ModelArch:
 
     def __post_init__(self):
         for name in _ARCH_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+            check(name, getattr(self, name), int, "a positive integer", lambda v: v >= 1)
 
 
 _ARCH_FIELDS = tuple(f.name for f in dataclasses.fields(ModelArch))
@@ -474,8 +472,7 @@ def _objective(model, x_norm, y_norm, rho, teacher_forcing):
         raise PairingError(
             f"paired sequences must have equal frame counts, got {x.shape[0]} vs {y.shape[0]}"
         )
-    if not 0 <= rho < math.inf:
-        raise ConfigError(f"rho must be non-negative and finite, got {rho!r}")
+    check("rho", rho, float, "non-negative and finite", lambda v: 0 <= v < math.inf)
     y = np.ascontiguousarray(y, dtype=model.dtype)
     y_mc = y[:, :MCEP_DIM]
     spliced, cache_g = _splice_back(model, y)

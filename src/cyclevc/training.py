@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InputError, PairingError, TrainingError
+from .errors import InputError, PairingError, TrainingError, check
 from .features import (
     UtteranceFeatures,
     align_frames,
@@ -43,20 +43,12 @@ class TrainConfig:
     arch: ModelArch = field(default_factory=ModelArch)
 
     def __post_init__(self):
-        for name in ("epochs", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.teacher_forcing, bool):
-            raise ConfigError(f"teacher_forcing must be a bool, got {self.teacher_forcing!r}")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if not 0 <= self.rho < math.inf:
-            raise ConfigError(f"rho must be non-negative and finite, got {self.rho!r}")
-        if not 0 < self.learning_rate < math.inf:
-            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed!r}")
+        check("epochs", self.epochs, int, ">= 1", lambda v: v >= 1)
+        check("rho", self.rho, float, "non-negative and finite", lambda v: 0 <= v < math.inf)
+        check("learning_rate", self.learning_rate, float, "finite and > 0", lambda v: 0 < v < math.inf)
+        check("seed", self.seed, int, "a non-negative integer", lambda v: v >= 0)
+        check("teacher_forcing", self.teacher_forcing, bool, "a bool")
+        check("arch", self.arch, ModelArch, "a ModelArch")
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_features, probe_amplitudes
 from cyclevc.acoustics import FS, HOP, NYQUIST, _probe, analyze, synthesize
-from cyclevc.errors import ConfigError, InputError
+from cyclevc.errors import ConfigError, InputError, ShapeError
 from cyclevc.evaluation import mcd_frame
 
 
@@ -58,6 +58,13 @@ def test_analysis_rejects_degenerate_waveforms():
     bad[100] = np.nan
     with pytest.raises(InputError, match="non-finite"):
         analyze(bad, FS)
+
+
+@pytest.mark.parametrize("shape", [(2, FS // 5), (FS // 5, 2)])
+def test_analysis_rejects_a_waveform_that_is_not_mono(shape):
+    # flattened, a stereo pair would be analysed as interleaved mono samples
+    with pytest.raises(ShapeError, match="expected mono waveform"):
+        analyze(np.zeros(shape), FS)
 
 
 def test_analysis_takes_loud_waveforms_up_to_the_peak_limit():

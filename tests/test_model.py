@@ -69,6 +69,13 @@ def test_arch_rejects_non_positive_sizes():
         ModelArch(kernel=-1)
 
 
+def test_a_bool_architecture_field_is_rejected_before_any_checkpoint_exists():
+    # True is an int to isinstance; accepted, it would be saved as the header
+    # field "in_conv_layers=True", which load_checkpoint cannot parse back
+    with pytest.raises(ConfigError, match="in_conv_layers must be a positive integer, got True"):
+        tiny_arch(in_conv_layers=True, out_conv_layers=True)
+
+
 def test_init_is_seeded_and_bounded():
     a = make_model(seed=11)
     b = make_model(seed=11)
