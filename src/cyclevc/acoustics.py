@@ -33,7 +33,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import fft, ifft, irfft, next_fast_len, rfft, rfftfreq
 
 from .errors import ConfigError, InputError, ShapeError
-from .features import CAP_DB_FLOOR, CAP_DIM, FRAME_SHIFT_MS, MCEP_DIM, UtteranceFeatures
+from .features import (
+    CAP_DB_FLOOR, CAP_DIM, CAP_SLICE, FRAME_SHIFT_MS, LF0_INDEX, MCEP_DIM, MCEP_SLICE, N_DIMS,
+    UV_INDEX, UtteranceFeatures,
+)
 from .sigproc import WarpedCepstrumCodec, box_smooth, hann_periodic, pulse_positions, yin_periods
 
 FS = 24000
@@ -155,20 +158,15 @@ def analyze(waveform, fs, utt_id=""):
     f0 = np.zeros(n)
     dip = np.ones(n)
     voiced = np.zeros(n, dtype=bool)
-    mcep = np.zeros((n, MCEP_DIM))
-    cap = np.zeros((n, CAP_DIM))  # unvoiced frames stay fully aperiodic (0 dB)
+    frames = np.zeros((n, N_DIMS))  # unvoiced frames stay fully aperiodic (cap 0 dB)
+    mcep, cap = frames[:, MCEP_SLICE], frames[:, CAP_SLICE]
     starts = range(0, n, BLOCK_FRAMES)
     with ThreadPoolExecutor(min(_usable_cpus(), len(starts))) as pool:
         # list() re-raises here the first exception of a block
         list(pool.map(lambda lo: _analyze_block(padded, lo, f0, dip, voiced, mcep, cap), starts))
-
-    return UtteranceFeatures(
-        utt_id=utt_id,
-        mcep=mcep,
-        lf0=_interp_lf0(f0, voiced),
-        uv=voiced.astype(np.float32),
-        cap=cap,
-    )
+    frames[:, LF0_INDEX] = _interp_lf0(f0, voiced)
+    frames[:, UV_INDEX] = voiced
+    return UtteranceFeatures(utt_id, frames)
 
 
 def _usable_cpus():
@@ -256,8 +254,7 @@ def _voiced_envelopes(padded, centers, f0):
     frac = np.ones_like(total)
     np.divide(2.0 * npow, total, out=frac, where=total > 0)
     # frac in [1e-6, 1], so cap in [-60, 0] dB
-    cap = np.maximum(10.0 * np.log10(np.clip(frac, 1e-6, 1.0)), CAP_DB_FLOOR)
-    return cep, cap
+    return cep, 10.0 * np.log10(np.clip(frac, 10 ** (CAP_DB_FLOOR / 10), 1.0))
 
 
 def _band_sums(freqs_hz, power):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import check
-from .features import UtteranceFeatures
+from .features import LF0_INDEX, MCEP_SLICE, UtteranceFeatures
 
 @dataclass(frozen=True)
 class DegradeConfig:
@@ -64,24 +64,15 @@ def simulate_tts(feat, config=None):
     every utterance its own deterministic perturbation.
     """
     config = config or DegradeConfig()
-    mcep = _moving_average(feat.mcep.astype(np.float64), config.smooth_window)
+    frames = feat.frames.astype(np.float64)
+    mcep = frames[:, MCEP_SLICE]
+    mcep[:] = _moving_average(mcep, config.smooth_window)
     detail = mcep[:, 1:]
     if config.variance_scale != 1.0:
         mean = detail.mean(axis=0, keepdims=True)
-        detail = mean + config.variance_scale * (detail - mean)
+        detail[:] = mean + config.variance_scale * (detail - mean)
     if config.noise_std > 0.0:
         rng = _utterance_rng(config.seed, feat.utt_id)
-        detail = detail + config.noise_std * rng.standard_normal(detail.shape)
-    mcep = np.concatenate([mcep[:, :1], detail], axis=1)
-
-    lf0 = _moving_average(
-        feat.lf0.astype(np.float64)[:, None], config.lf0_smooth_window
-    )[:, 0]
-
-    return UtteranceFeatures(
-        utt_id=feat.utt_id,
-        mcep=mcep,
-        lf0=lf0,
-        uv=feat.uv.copy(),
-        cap=feat.cap.copy(),
-    )
+        detail += config.noise_std * rng.standard_normal(detail.shape)
+    frames[:, LF0_INDEX] = _moving_average(frames[:, LF0_INDEX, None], config.lf0_smooth_window)[:, 0]
+    return UtteranceFeatures(feat.utt_id, frames)

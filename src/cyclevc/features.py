@@ -14,7 +14,7 @@ atomically (`write_atomic`).
 
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,39 +49,34 @@ MAX_FRAME_MISMATCH = 2
 
 @dataclass
 class UtteranceFeatures:
-    """Per-frame acoustic features for one utterance (all arrays float32)."""
+    """Per-frame acoustic features for one utterance: one C-ordered float32
+    (n_frames, 50) matrix in the [mcep | lf0 | uv | cap] layout. mcep, lf0,
+    uv and cap are read-only attributes that return views of its columns, so
+    a write through them lands in `frames`."""
 
     utt_id: str
-    mcep: np.ndarray  # (n_frames, 45)
-    lf0: np.ndarray   # (n_frames,)
-    uv: np.ndarray    # (n_frames,) values in {0, 1}
-    cap: np.ndarray   # (n_frames, 3)
+    frames: np.ndarray  # (n_frames, 50)
 
     def __post_init__(self):
-        self.mcep = np.ascontiguousarray(self.mcep, dtype=np.float32)
-        self.lf0 = np.ascontiguousarray(self.lf0, dtype=np.float32)
-        self.uv = np.ascontiguousarray(self.uv, dtype=np.float32)
-        self.cap = np.ascontiguousarray(self.cap, dtype=np.float32)
+        self.frames = np.array(self.frames, dtype=np.float32, order="C")
         self.validate()
+
+    mcep = property(lambda self: self.frames[:, MCEP_SLICE])  # (n_frames, 45)
+    lf0 = property(lambda self: self.frames[:, LF0_INDEX])  # (n_frames,)
+    uv = property(lambda self: self.frames[:, UV_INDEX])  # (n_frames,) values in {0, 1}
+    cap = property(lambda self: self.frames[:, CAP_SLICE])  # (n_frames, 3)
 
     @property
     def n_frames(self):
-        return self.mcep.shape[0]
+        return len(self.frames)
 
     def validate(self):
-        n = self.mcep.shape[0]
-        if self.mcep.ndim != 2 or self.mcep.shape[1] != MCEP_DIM:
-            raise ShapeError(f"{self.utt_id}: mcep must be (n, {MCEP_DIM}), got {self.mcep.shape}")
-        if n == 0:
+        if self.frames.ndim != 2 or self.frames.shape[1] != N_DIMS:
+            raise ShapeError(f"{self.utt_id}: frames must be (n, {N_DIMS}), got {self.frames.shape}")
+        if self.n_frames == 0:
             raise ShapeError(f"{self.utt_id}: features must have at least one frame")
-        if self.lf0.shape != (n,):
-            raise ShapeError(f"{self.utt_id}: lf0 length {self.lf0.shape} != n_frames {n}")
-        if self.uv.shape != (n,):
-            raise ShapeError(f"{self.utt_id}: uv length {self.uv.shape} != n_frames {n}")
-        if self.cap.shape != (n, CAP_DIM):
-            raise ShapeError(f"{self.utt_id}: cap must be (n, {CAP_DIM}), got {self.cap.shape}")
-        for name, arr in (("mcep", self.mcep), ("lf0", self.lf0), ("uv", self.uv), ("cap", self.cap)):
-            if not np.all(np.isfinite(arr)):
+        for name in ("mcep", "lf0", "uv", "cap"):
+            if not np.all(np.isfinite(getattr(self, name))):
                 raise InputError(f"{self.utt_id}: non-finite values in {name}")
         if not np.all((self.uv == 0.0) | (self.uv == 1.0)):
             raise InputError(f"{self.utt_id}: uv values must be exactly 0 or 1")
@@ -89,39 +84,18 @@ class UtteranceFeatures:
             raise InputError(f"{self.utt_id}: cap values must lie in [{CAP_DB_FLOOR:g}, 0] dB")
 
     def full_frames(self):
-        """(n, 50) float32 matrix in the fixed [mcep | lf0 | uv | cap] layout."""
-        return np.concatenate(
-            [self.mcep, self.lf0[:, None], self.uv[:, None], self.cap], axis=1
-        )
-
-    @classmethod
-    def from_full_frames(cls, utt_id, frames):
-        frames = np.asarray(frames, dtype=np.float32)
-        if frames.ndim != 2 or frames.shape[1] != N_DIMS:
-            raise ShapeError(f"{utt_id}: full frames must be (n, {N_DIMS}), got {frames.shape}")
-        return cls(
-            utt_id=utt_id,
-            mcep=frames[:, MCEP_SLICE],
-            lf0=frames[:, LF0_INDEX],
-            uv=frames[:, UV_INDEX],
-            cap=frames[:, CAP_SLICE],
-        )
+        """The (n, 50) float32 frame matrix itself (not a copy)."""
+        return self.frames
 
     def with_mcep(self, mcep):
         """Copy of this utterance with mcep replaced, prosodic dims untouched."""
-        return replace(
-            self,
-            mcep=np.asarray(mcep, dtype=np.float32),
-            lf0=self.lf0.copy(),
-            uv=self.uv.copy(),
-            cap=self.cap.copy(),
-        )
-
-
-def _head(feat, n):
-    if feat.n_frames == n:
-        return feat
-    return UtteranceFeatures(feat.utt_id, feat.mcep[:n], feat.lf0[:n], feat.uv[:n], feat.cap[:n])
+        if np.shape(mcep) != (self.n_frames, MCEP_DIM):
+            raise ShapeError(
+                f"{self.utt_id}: mcep must be ({self.n_frames}, {MCEP_DIM}), got {np.shape(mcep)}"
+            )
+        frames = self.frames.copy()
+        frames[:, MCEP_SLICE] = mcep
+        return UtteranceFeatures(self.utt_id, frames)
 
 
 def align_frames(utt_id, a, b):
@@ -137,7 +111,7 @@ def align_frames(utt_id, a, b):
             f"({a.n_frames} vs {b.n_frames}); at most {MAX_FRAME_MISMATCH} can be trimmed"
         )
     n = min(a.n_frames, b.n_frames)
-    return _head(a, n), _head(b, n)
+    return UtteranceFeatures(a.utt_id, a.frames[:n]), UtteranceFeatures(b.utt_id, b.frames[:n])
 
 
 def write_atomic(path, data):
@@ -160,7 +134,7 @@ def write_atomic(path, data):
 
 def write_features(feat, path):
     """Write an UtteranceFeatures to the binary feature format."""
-    frames = feat.full_frames().astype("<f4")
+    frames = feat.frames.astype("<f4", copy=False)
     header = _HEADER.pack(_MAGIC, _VERSION, feat.n_frames, N_DIMS, FRAME_SHIFT_US, 0)
     write_atomic(path, header + memoryview(frames))
 
@@ -194,7 +168,7 @@ def read_features(path, utt_id=None):
     frames = np.frombuffer(body, dtype="<f4").reshape(n_frames, N_DIMS)
     if utt_id is None:
         utt_id = Path(path).stem
-    return UtteranceFeatures.from_full_frames(utt_id, frames)
+    return UtteranceFeatures(utt_id, frames)
 
 
 @dataclass
@@ -219,7 +193,7 @@ def compute_norm_stats(feats):
     """Mean/std over all frames of a feature set, per dimension."""
     if not feats:
         raise InputError("cannot compute norm stats from an empty feature set")
-    frames = np.concatenate([f.full_frames() for f in feats], axis=0).astype(np.float64)
+    frames = np.concatenate([f.frames for f in feats], axis=0).astype(np.float64)
     mean = frames.mean(axis=0)
     std = np.maximum(frames.std(axis=0), STD_FLOOR)
     return NormStats(mean=mean, std=std)
@@ -227,7 +201,7 @@ def compute_norm_stats(feats):
 
 def normalize(feat, stats):
     """Normalized (n, 50) float32 full-frame sequence for model input."""
-    frames = feat.full_frames().astype(np.float64)
+    frames = feat.frames.astype(np.float64)
     return ((frames - stats.mean) / stats.std).astype(np.float32)
 
 

@@ -561,7 +561,8 @@ def load_checkpoint(path):
         fields[key] = value
     if fields.get("format") != CHECKPOINT_FORMAT:
         raise FormatError(f"unsupported checkpoint format {fields.get('format')!r}")
-    missing = [k for k in (*_ARCH_FIELDS, "src_mean", "src_std", "tgt_mean", "tgt_std") if k not in fields]
+    required = (*_ARCH_FIELDS, "param_count", "src_mean", "src_std", "tgt_mean", "tgt_std")
+    missing = [k for k in required if k not in fields]
     if missing:
         raise FormatError(f"checkpoint header missing fields: {', '.join(missing)}")
     try:
@@ -584,16 +585,15 @@ def load_checkpoint(path):
             f"parameter blob has {len(blob)} bytes, expected {4 * expected} "
             f"({expected} float32 values for the declared architecture)"
         )
-    if "param_count" in fields:
-        try:
-            declared = int(fields["param_count"])
-        except ValueError:
-            declared = None
-        if declared != expected:
-            raise FormatError(
-                f"checkpoint declares {fields['param_count']} parameters, "
-                f"architecture requires {expected}"
-            )
+    try:
+        declared = int(fields["param_count"])
+    except ValueError:
+        declared = None
+    if declared != expected:
+        raise FormatError(
+            f"checkpoint declares {fields['param_count']} parameters, "
+            f"architecture requires {expected}"
+        )
     flat = np.frombuffer(blob, dtype="<f4")
     if not np.all(np.isfinite(flat)):
         raise FormatError("checkpoint parameter blob has non-finite values")

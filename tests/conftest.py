@@ -28,7 +28,12 @@ def make_features(utt_id, n_frames, rng=None, voiced=True):
     else:
         uv = np.zeros(n_frames, dtype=np.float32)
     cap = rng.uniform(-60.0, 0.0, size=(n_frames, 3))
-    return UtteranceFeatures(utt_id=utt_id, mcep=mcep, lf0=lf0, uv=uv, cap=cap)
+    return features_from_parts(utt_id, mcep, lf0, uv, cap)
+
+
+def features_from_parts(utt_id, mcep, lf0, uv, cap):
+    """UtteranceFeatures whose frames are the columns [mcep | lf0 | uv | cap]."""
+    return UtteranceFeatures(utt_id, np.column_stack([mcep, lf0, uv, cap]))
 
 
 def probe_amplitudes(segment, window, freqs_hz, fs):

@@ -165,13 +165,7 @@ class SeedAnalyzer:
                 mcep[t] = self._unvoiced_frame(x, c)
                 cap[t] = 0.0  # fully aperiodic
 
-        return UtteranceFeatures(
-            utt_id=utt_id,
-            mcep=mcep,
-            lf0=_interp_lf0(f0, voiced),
-            uv=voiced.astype(np.float32),
-            cap=cap,
-        )
+        return UtteranceFeatures(utt_id, np.column_stack([mcep, _interp_lf0(f0, voiced), voiced, cap]))
 
     def _probe(self, wx, f0, count, offset):
         """|DFT| probes at (k + offset) * f0 for k = 1..count (unnormalized)."""

@@ -9,11 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import FUZZ
+from conftest import FUZZ, features_from_parts
 from cyclevc import acoustics
 from cyclevc.acoustics import F0_CEIL, F0_FLOOR, FS, HOP
 from cyclevc.errors import InputError
-from cyclevc.features import CAP_DB_FLOOR, CAP_DIM, MCEP_DIM, UtteranceFeatures
+from cyclevc.features import CAP_DB_FLOOR, CAP_DIM, MCEP_DIM
 
 LENGTHS = st.integers(HOP, 20 * HOP)
 LF0_BOUNDS = (np.log(0.9 * F0_FLOOR), np.log(1.1 * F0_CEIL))
@@ -92,12 +92,8 @@ def _valid_features(n):
         cap=arrays(np.float64, (n, CAP_DIM), elements=st.floats(CAP_DB_FLOOR, 0.0)),
     )
     return st.fixed_dictionaries(frame_arrays).map(
-        lambda a: UtteranceFeatures(
-            utt_id="p",
-            mcep=np.column_stack([a["c0"], a["rest"]]),
-            lf0=a["lf0"],
-            uv=a["uv"],
-            cap=a["cap"],
+        lambda a: features_from_parts(
+            "p", np.column_stack([a["c0"], a["rest"]]), a["lf0"], a["uv"], a["cap"]
         )
     )
 

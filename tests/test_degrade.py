@@ -130,13 +130,7 @@ def test_noise_differs_per_utterance_under_one_corpus_seed():
     from cyclevc.features import UtteranceFeatures
 
     base = make_features("utt-a", 40)
-    twin = UtteranceFeatures(
-        utt_id="utt-b",
-        mcep=base.mcep.copy(),
-        lf0=base.lf0.copy(),
-        uv=base.uv.copy(),
-        cap=base.cap.copy(),
-    )
+    twin = UtteranceFeatures("utt-b", base.frames)
     a = simulate_tts(base, DegradeConfig())
     b = simulate_tts(twin, DegradeConfig())
     assert a.mcep.tobytes() != b.mcep.tobytes()

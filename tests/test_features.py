@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_features, make_model
+from conftest import features_from_parts, make_features, make_model
 from cyclevc import features
 from cyclevc.errors import FormatError, InputError, ShapeError
 from cyclevc.features import (
@@ -63,60 +63,36 @@ def test_arrays_are_stored_as_float32():
     assert feat.cap.dtype == np.float32
 
 
-def test_mismatched_frame_counts_are_rejected():
-    with pytest.raises(ShapeError, match="lf0"):
-        UtteranceFeatures(
-            utt_id="u",
-            mcep=np.zeros((5, 45)),
-            lf0=np.zeros(4),
-            uv=np.zeros(5),
-            cap=np.zeros((5, 3)),
-        )
-
-
 def test_zero_frame_features_are_rejected():
     # an empty utterance would otherwise reach simulate_tts and the MCD mean
     with pytest.raises(ShapeError, match="at least one frame"):
-        UtteranceFeatures(
-            utt_id="u",
-            mcep=np.zeros((0, 45)),
-            lf0=np.zeros(0),
-            uv=np.zeros(0),
-            cap=np.zeros((0, 3)),
-        )
+        features_from_parts("u", np.zeros((0, 45)), np.zeros(0), np.zeros(0), np.zeros((0, 3)))
     with pytest.raises(ShapeError, match="at least one frame"):
-        UtteranceFeatures.from_full_frames("u", np.zeros((0, 50)))
+        UtteranceFeatures("u", np.zeros((0, 50)))
 
 
 def test_wrong_mcep_width_is_rejected():
-    with pytest.raises(ShapeError, match="mcep"):
-        UtteranceFeatures(
-            utt_id="u",
-            mcep=np.zeros((5, 44)),
-            lf0=np.zeros(5),
-            uv=np.zeros(5),
-            cap=np.zeros((5, 3)),
-        )
+    # one mcep column too few or too many makes frames of width 49 or 51
+    for width in (N_DIMS - 1, N_DIMS + 1):
+        with pytest.raises(ShapeError, match=rf"frames must be \(n, 50\), got \(5, {width}\)"):
+            UtteranceFeatures("u", np.zeros((5, width)))
+
+
+def test_one_dimensional_frames_are_rejected():
+    with pytest.raises(ShapeError, match="frames must be"):
+        UtteranceFeatures("u", np.zeros(N_DIMS))
 
 
 def test_non_finite_values_are_rejected_naming_the_array():
     mcep = np.zeros((5, 45))
     mcep[2, 3] = np.nan
     with pytest.raises(InputError, match="mcep"):
-        UtteranceFeatures(
-            utt_id="u", mcep=mcep, lf0=np.zeros(5), uv=np.zeros(5), cap=np.zeros((5, 3))
-        )
+        features_from_parts("u", mcep, np.zeros(5), np.zeros(5), np.zeros((5, 3)))
 
 
 def test_non_binary_voicing_flags_are_rejected():
     with pytest.raises(InputError, match="uv"):
-        UtteranceFeatures(
-            utt_id="u",
-            mcep=np.zeros((5, 45)),
-            lf0=np.zeros(5),
-            uv=np.full(5, 0.5),
-            cap=np.zeros((5, 3)),
-        )
+        features_from_parts("u", np.zeros((5, 45)), np.zeros(5), np.full(5, 0.5), np.zeros((5, 3)))
 
 
 @pytest.mark.parametrize("cap_db", [3.0, 1e-3, -60.5, -200.0])
@@ -124,16 +100,12 @@ def test_aperiodicity_outside_its_coded_range_is_rejected(cap_db):
     cap = np.zeros((5, 3))
     cap[2, 1] = cap_db
     with pytest.raises(InputError, match="cap"):
-        UtteranceFeatures(
-            utt_id="u", mcep=np.zeros((5, 45)), lf0=np.zeros(5), uv=np.zeros(5), cap=cap
-        )
+        features_from_parts("u", np.zeros((5, 45)), np.zeros(5), np.zeros(5), cap)
 
 
 def test_aperiodicity_range_ends_are_accepted():
     cap = np.array([[0.0, features.CAP_DB_FLOOR, -30.0]] * 2)
-    feat = UtteranceFeatures(
-        utt_id="u", mcep=np.zeros((2, 45)), lf0=np.zeros(2), uv=np.zeros(2), cap=cap
-    )
+    feat = features_from_parts("u", np.zeros((2, 45)), np.zeros(2), np.zeros(2), cap)
     assert feat.cap.min() == -60.0 and feat.cap.max() == 0.0
 
 
@@ -147,11 +119,35 @@ def test_full_frame_layout_is_mcep_lf0_uv_cap():
     assert np.array_equal(frames[:, CAP_SLICE], feat.cap)
 
 
-def test_full_frames_round_trip_through_from_full_frames():
+def test_full_frames_round_trip_through_the_constructor():
     feat = make_features("u", 7)
-    back = UtteranceFeatures.from_full_frames("u", feat.full_frames())
+    back = UtteranceFeatures("u", feat.full_frames())
     for name in ("mcep", "lf0", "uv", "cap"):
         assert np.array_equal(getattr(back, name), getattr(feat, name))
+
+
+def test_the_constructor_copies_its_frames():
+    frames = make_features("u", 4).full_frames()
+    feat = UtteranceFeatures("u", frames)
+    frames[:, 0] += 1.0
+    assert not np.array_equal(feat.mcep[:, 0], frames[:, 0])
+
+
+def test_a_write_through_a_part_lands_in_the_frames():
+    feat = make_features("u", 5)
+    feat.mcep[2, 7] = 0.25
+    feat.lf0[:] = 5.0
+    feat.cap[4] = -12.0
+    frames = feat.full_frames()
+    assert frames[2, 7] == np.float32(0.25)
+    assert np.all(frames[:, LF0_INDEX] == 5.0)
+    assert np.all(frames[4, CAP_SLICE] == -12.0)
+
+
+def test_parts_cannot_be_rebound():
+    feat = make_features("u", 5)
+    with pytest.raises(AttributeError):
+        feat.mcep = np.zeros((5, 45))
 
 
 def test_with_mcep_replaces_spectrum_and_keeps_prosody():
@@ -163,6 +159,16 @@ def test_with_mcep_replaces_spectrum_and_keeps_prosody():
     assert np.array_equal(out.uv, feat.uv)
     assert np.array_equal(out.cap, feat.cap)
     assert out.utt_id == feat.utt_id
+    out.mcep[:] = 0.0  # the copy shares no memory with the original
+    assert np.all(feat.mcep[:, 0] != 0.0)
+
+
+@pytest.mark.parametrize("shape", [(1, 45), (5, 44), (4, 45), (45,)])
+def test_with_mcep_of_another_shape_is_rejected(shape):
+    # a (1, 45) mcep would otherwise broadcast over every frame
+    feat = make_features("u", 5)
+    with pytest.raises(ShapeError, match=r"mcep must be \(5, 45\)"):
+        feat.with_mcep(np.zeros(shape))
 
 
 # ----- binary file format ---------------------------------------------------
@@ -179,6 +185,14 @@ def test_file_round_trip_is_bit_exact(tmp_path):
     nested = tmp_path / "new" / "deeper" / "roundtrip.cvf"
     write_features(feat, nested)
     assert nested.read_bytes() == path.read_bytes()
+
+
+def test_read_features_returns_a_writable_matrix(tmp_path):
+    path = tmp_path / "u.cvf"
+    write_features(make_features("u", 6), path)
+    feat = read_features(path)
+    feat.mcep[0, 0] = 1.0
+    assert feat.full_frames()[0, 0] == 1.0
 
 
 def test_rewriting_read_features_gives_identical_bytes(tmp_path):
@@ -285,20 +299,10 @@ def test_zero_frame_file_is_a_format_error(tmp_path):
 
 
 def test_norm_stats_match_hand_computation():
-    a = UtteranceFeatures(
-        utt_id="a",
-        mcep=np.tile(np.arange(45, dtype=np.float32), (2, 1)),
-        lf0=np.array([5.0, 7.0]),
-        uv=np.array([1.0, 1.0]),
-        cap=np.zeros((2, 3)),
+    a = features_from_parts(
+        "a", np.tile(np.arange(45, dtype=np.float32), (2, 1)), [5.0, 7.0], [1.0, 1.0], np.zeros((2, 3))
     )
-    b = UtteranceFeatures(
-        utt_id="b",
-        mcep=np.zeros((2, 45), dtype=np.float32),
-        lf0=np.array([1.0, 3.0]),
-        uv=np.array([0.0, 0.0]),
-        cap=np.full((2, 3), -8.0),
-    )
+    b = features_from_parts("b", np.zeros((2, 45)), [1.0, 3.0], [0.0, 0.0], np.full((2, 3), -8.0))
     stats = compute_norm_stats([a, b])
     # lf0 column holds {5, 7, 1, 3}: mean 4, population std sqrt(5)
     assert stats.mean[LF0_INDEX] == pytest.approx(4.0)

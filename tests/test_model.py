@@ -523,6 +523,13 @@ def test_checkpoint_parameter_count_is_exact_past_64_bits(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_without_param_count_is_rejected(tmp_path):
+    path = _saved(tmp_path)
+    _edit_header(path, "\nparam_count=3942", "")
+    with pytest.raises(FormatError, match="missing fields: param_count"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_with_non_integer_param_count_is_rejected(tmp_path):
     path = _saved(tmp_path)
     _edit_header(path, "param_count=3942", "param_count=abc")

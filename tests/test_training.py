@@ -254,9 +254,9 @@ from cyclevc.training import TrainConfig, pair_features, train
 
 rng = np.random.default_rng(0)
 def feat(n):
-    return UtteranceFeatures(utt_id="u", mcep=rng.normal(0.0, 0.5, (n, 45)),
-                             lf0=rng.uniform(4.6, 5.5, n), uv=np.ones(n, np.float32),
-                             cap=rng.uniform(-60.0, 0.0, (n, 3)))
+    mcep, lf0 = rng.normal(0.0, 0.5, (n, 45)), rng.uniform(4.6, 5.5, n)
+    cap = rng.uniform(-60.0, 0.0, (n, 3))
+    return UtteranceFeatures("u", np.column_stack([mcep, lf0, np.ones(n), cap]))
 pairs = [pair_features("u", feat(519), feat(519))]
 def faults(epochs):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
