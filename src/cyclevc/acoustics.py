@@ -17,9 +17,9 @@ Bluestein FFT convolution: one Bluestein pass per block of voiced frames
 (up to PROBE_ROWS of them), each row with its own window and chirp. Each
 frame's log envelope goes onto the codec's warped grid, and one DCT-I per
 batch of rows makes the cepstra.
-Blocks fill disjoint rows of the feature tracks, so an utterance's blocks
-run on a thread pool with one worker per usable CPU. A block does the same
-arithmetic at any worker count, so the features do not depend on it.
+Each block returns its own rows, joined in block order, so an utterance's
+blocks run on a thread pool with one worker per usable CPU. A block does the
+same arithmetic at any worker count, so the features do not depend on it.
 Synthesis excites pulse and noise sources, mixes them per aperiodicity band,
 and applies the envelope with FFT overlap-add, in the same blocks of frames
 as analysis.
@@ -155,15 +155,11 @@ def analyze(waveform, fs, utt_id=""):
     n = x.size // HOP + 1
     padded = np.zeros(PAD + (n - 1) * HOP + PAD)
     padded[PAD : PAD + x.size] = x
-    f0 = np.zeros(n)
-    dip = np.ones(n)
-    voiced = np.zeros(n, dtype=bool)
-    frames = np.zeros((n, N_DIMS))  # unvoiced frames stay fully aperiodic (cap 0 dB)
-    mcep, cap = frames[:, MCEP_SLICE], frames[:, CAP_SLICE]
     starts = range(0, n, BLOCK_FRAMES)
     with ThreadPoolExecutor(min(_usable_cpus(), len(starts))) as pool:
-        # list() re-raises here the first exception of a block
-        list(pool.map(lambda lo: _analyze_block(padded, lo, f0, dip, voiced, mcep, cap), starts))
+        # map yields the blocks in order and re-raises the first exception of a block
+        blocks = list(pool.map(lambda lo: _analyze_block(padded, n, lo), starts))
+    f0, voiced, frames = (np.concatenate(track) for track in zip(*blocks))
     frames[:, LF0_INDEX] = _interp_lf0(f0, voiced)
     frames[:, UV_INDEX] = voiced
     return UtteranceFeatures(utt_id, frames)
@@ -182,38 +178,34 @@ def _frames(padded, n, before, width):
     return sliding_window_view(padded[PAD - before :], width)[::HOP][:n]
 
 
-def _analyze_block(padded, lo, f0, dip, voiced, mcep, cap):
-    """Fill rows lo : lo + BLOCK_FRAMES of the frame tracks f0, dip, voiced,
-    mcep and cap of padded. A block reads no row of another, so blocks may
-    run in any order or concurrently; it spends most of its time in NumPy
-    and FFT calls that release the GIL."""
-    n = len(f0)
-    hi = min(lo + BLOCK_FRAMES, n)
-    block, idx = slice(lo, hi), np.arange(lo, hi)
-    yin_frames = _frames(padded, n, YIN_WINDOW // 2, YIN_WINDOW + YIN_TAU_MAX)
-    rms = np.sqrt(np.mean(yin_frames[block, :YIN_WINDOW] ** 2, axis=1))
-    loud = idx[rms > SILENCE_RMS]
-    if loud.size:
+def _analyze_block(padded, n, lo):
+    """f0, voicing and (rows, N_DIMS) frames, mcep and cap filled and cap 0 dB on
+    unvoiced rows, of frames lo : lo + BLOCK_FRAMES of the n frames of padded.
+    A block only reads padded and returns new arrays, so blocks may run in any
+    order or concurrently, mostly in NumPy and FFT calls that release the GIL."""
+    block = slice(lo, lo + BLOCK_FRAMES)
+    yin_frames = _frames(padded, n, YIN_WINDOW // 2, YIN_WINDOW + YIN_TAU_MAX)[block]
+    rms = np.sqrt(np.mean(yin_frames[:, :YIN_WINDOW] ** 2, axis=1))
+    loud = rms > SILENCE_RMS
+    f0, dip = np.zeros(rms.size), np.ones(rms.size)  # a quiet frame keeps dip 1, so is unvoiced
+    if loud.any():
         f0[loud], dip[loud] = yin_periods(yin_frames[loud], FS, F0_FLOOR, F0_CEIL, YIN_WINDOW)
-    voiced[block] = (
-        (dip[block] < VOICING_DIP_MAX)
-        & (f0[block] >= F0_FLOOR * 0.9)
-        & (f0[block] <= F0_CEIL * 1.1)
-        & (rms > SILENCE_RMS)
-    )
-    unvoiced = idx[~voiced[block]]
-    if unvoiced.size:
-        uv_frames = _frames(padded, n, UNVOICED_WINDOW // 2, UNVOICED_WINDOW)
-        mcep[unvoiced] = _unvoiced_envelopes(uv_frames[unvoiced])
-    voiced_idx = idx[voiced[block]]
-    for sub in range(0, voiced_idx.size, PROBE_ROWS):
-        rows = voiced_idx[sub : sub + PROBE_ROWS]
-        mcep[rows], cap[rows] = _voiced_envelopes(padded, PAD + rows * HOP, f0[rows])
+    voiced = (dip < VOICING_DIP_MAX) & (f0 >= F0_FLOOR * 0.9) & (f0 <= F0_CEIL * 1.1)
+    frames = np.zeros((rms.size, N_DIMS))
+    if not voiced.all():
+        uv_frames = _frames(padded, n, UNVOICED_WINDOW // 2, UNVOICED_WINDOW)[block]
+        frames[~voiced, MCEP_SLICE] = _unvoiced_envelopes(uv_frames[~voiced])
+    voiced_rows = np.flatnonzero(voiced)
+    for sub in range(0, voiced_rows.size, PROBE_ROWS):
+        rows = voiced_rows[sub : sub + PROBE_ROWS]
+        cep_cap = _voiced_envelopes(padded, n, lo + rows, f0[rows])
+        frames[rows, MCEP_SLICE], frames[rows, CAP_SLICE] = cep_cap
+    return f0, voiced, frames
 
 
-def _voiced_envelopes(padded, centers, f0):
-    """Cepstra and band aperiodicities of the voiced frames centred at
-    padded[centers] with fundamentals f0, one row each, from one probe pass."""
+def _voiced_envelopes(padded, n, idx, f0):
+    """Cepstra and band aperiodicities of the voiced frames idx of the n
+    frames of padded, with fundamentals f0, one row each, from one probe pass."""
     # no lower clamp: a voiced f0 is at most 1.1 * F0_CEIL = 440 Hz, so w_len >= 219
     w_len = np.minimum(np.round(ENV_PERIODS * FS / f0).astype(np.int64) | 1, ENV_WINDOW_MAX)
     width = w_len.max()
@@ -222,7 +214,7 @@ def _voiced_envelopes(padded, centers, f0):
     u = np.arange(1 - width, width, 2, dtype=np.float64)
     win = 0.5 + 0.5 * np.cos(np.pi * u / (w_len[:, None] - 1.0))
     win[np.abs(u) > w_len[:, None] - 1] = 0.0
-    wx = sliding_window_view(padded, width)[centers - width // 2] * win
+    wx = _frames(padded, n, width // 2, width)[idx] * win
     gain = 2.0 / win.sum(axis=1, keepdims=True)
 
     # a voiced f0 is at most 1.1 * F0_CEIL = 440 Hz, so n_harm >= 26

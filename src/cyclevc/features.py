@@ -201,8 +201,11 @@ def compute_norm_stats(feats):
 
 def normalize(feat, stats):
     """Normalized (n, 50) float32 full-frame sequence for model input."""
-    frames = feat.frames.astype(np.float64)
-    return ((frames - stats.mean) / stats.std).astype(np.float32)
+    with np.errstate(over="ignore"):  # a float64 overflow gives inf, which the check rejects
+        frames = (feat.frames.astype(np.float64) - stats.mean) / stats.std
+    if not np.all(np.abs(frames) <= np.finfo(np.float32).max):
+        raise InputError(f"{feat.utt_id}: normalized features leave the float32 range")
+    return frames.astype(np.float32)
 
 
 def denormalize_mcep(mcep_norm, stats):

@@ -585,11 +585,7 @@ def load_checkpoint(path):
             f"parameter blob has {len(blob)} bytes, expected {4 * expected} "
             f"({expected} float32 values for the declared architecture)"
         )
-    try:
-        declared = int(fields["param_count"])
-    except ValueError:
-        declared = None
-    if declared != expected:
+    if fields["param_count"] != str(expected):
         raise FormatError(
             f"checkpoint declares {fields['param_count']} parameters, "
             f"architecture requires {expected}"

@@ -125,7 +125,7 @@ class AdamOptimizer:
             v += (1.0 - self.BETA2) * (g * g - v)
             m_hat = m / correction1
             v_hat = v / correction2
-            p -= (self.learning_rate * m_hat / (np.sqrt(v_hat) + self.EPS)).astype(p.dtype)
+            p -= (self.learning_rate * m_hat / (np.sqrt(v_hat) + self.EPS)).astype(p.dtype, copy=False)
 
 
 def _keep_freed_heap_mapped():

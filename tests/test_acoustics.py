@@ -19,7 +19,10 @@ def _sawtooth(freq, seconds, amp=0.3):
 
 
 def test_frame_count_is_floor_div_plus_one(rng):
-    for n_samples in (HOP, HOP + 1, 2 * HOP - 1, 2 * HOP, 4801):
+    # 63, 64, 127 and 128 HOPs give 64, 65, 128 and 129 frames: a last block
+    # of BLOCK_FRAMES, 1, BLOCK_FRAMES and 1 frames
+    lengths = (HOP, HOP + 1, 2 * HOP - 1, 2 * HOP, 4801, 63 * HOP, 64 * HOP, 127 * HOP, 128 * HOP + 7)
+    for n_samples in lengths:
         x = 0.01 * rng.standard_normal(n_samples)
         feat = analyze(x, FS)
         assert feat.n_frames == n_samples // HOP + 1

@@ -44,13 +44,14 @@ class _CallingThread:
 
 
 def _analyze_traced(monkeypatch, x, executor=None, cpus=None):
-    """analyze(x) and, per block, (start frame, thread id, float64 tracks)."""
+    """analyze(x) and, per block, (start frame, thread id, returned (f0, voiced, frames))."""
     calls = []
     block = acoustics._analyze_block
 
-    def traced(padded, lo, *tracks):
-        calls.append((lo, threading.get_ident(), tracks))
-        block(padded, lo, *tracks)
+    def traced(padded, n, lo):
+        rows = block(padded, n, lo)
+        calls.append((lo, threading.get_ident(), rows))
+        return rows
 
     with monkeypatch.context() as m:
         m.setattr(acoustics, "_analyze_block", traced)
@@ -63,7 +64,9 @@ def _analyze_traced(monkeypatch, x, executor=None, cpus=None):
 
 
 def _track_bytes(calls):
-    return [a.tobytes() for a in calls[0][2]]
+    """Bytes of the f0, voiced and frames tracks joined from the blocks in start order."""
+    blocks = [rows for _, _, rows in sorted(calls, key=lambda call: call[0])]
+    return [np.concatenate(track).tobytes() for track in zip(*blocks)]
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +101,7 @@ def test_pooled_analysis_equals_serial_blocks_on_the_calling_thread(monkeypatch,
 
 
 def test_more_workers_than_cpus_switching_often_give_the_same_bytes(monkeypatch, corpus_waves):
-    # a lost or misplaced row write shows as a byte difference
+    # a block joined out of order, or computed otherwise on a worker, shows as a byte difference
     x = np.concatenate(corpus_waves)
     serial, serial_calls = _analyze_traced(monkeypatch, x, executor=_CallingThread)
     interval = sys.getswitchinterval()

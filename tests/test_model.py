@@ -2,6 +2,7 @@
 and checkpoint round trips."""
 
 import dataclasses
+import re
 import types
 
 import numpy as np
@@ -501,10 +502,13 @@ def test_checkpoint_with_truncated_blob_reports_byte_counts(tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_with_wrong_param_count_is_rejected(tmp_path):
+# save_checkpoint writes the count in decimal with no sign, padding or
+# separator, so any other spelling of 3942 is rejected too
+@pytest.mark.parametrize("count", ["9999", "+3942", " 3942", "3_942", "03942"])
+def test_checkpoint_with_wrong_param_count_is_rejected(tmp_path, count):
     path = _saved(tmp_path)
-    _edit_header(path, "param_count=3942", "param_count=9999")
-    with pytest.raises(FormatError, match="declares 9999"):
+    _edit_header(path, "param_count=3942", f"param_count={count}")
+    with pytest.raises(FormatError, match=re.escape(f"declares {count} parameters")):
         load_checkpoint(path)
 
 

@@ -10,7 +10,8 @@ from conftest import make_features, make_model, tiny_arch
 from cyclevc import acoustics, cli, pipeline
 from cyclevc.degrade import DegradeConfig
 from cyclevc.errors import ConfigError, InputError
-from cyclevc.features import read_features
+from cyclevc.features import N_DIMS, NormStats, read_features, write_features
+from cyclevc.model import CycleVCModel, save_checkpoint
 from cyclevc.pipeline import (
     END_TO_END_STAGES,
     SCENARIOS,
@@ -52,6 +53,24 @@ def test_enhanced_features_keep_prosody_bit_exactly(n_frames):
     assert out.uv.tobytes() == feat.uv.tobytes()
     assert out.cap.tobytes() == feat.cap.tobytes()
     assert not np.array_equal(out.mcep, feat.mcep)
+
+
+# 3e38 is a finite float32 that normalizes to 6e38 against a std of 0.5, and
+# 1e9 against a std of 1e-300 normalizes past even the float64 range
+@pytest.mark.parametrize("value, std", [(3e38, 0.5), (1e9, 1e-300)])
+def test_features_past_float32_once_normalized_are_an_input_error(tmp_path, capsys, value, std):
+    norm = NormStats(mean=np.zeros(N_DIMS), std=np.full(N_DIMS, std))
+    model = CycleVCModel.init(tiny_arch(), norm, norm, seed=0)
+    feat = make_features("loud", 5)
+    feat.mcep[2, 0] = value
+    for convert in (enhance, generate_pseudo):
+        with pytest.raises(InputError, match="loud: normalized features leave the float32 range"):
+            convert(model, feat)
+    save_checkpoint(model, tmp_path / "m.ckpt")
+    write_features(feat, tmp_path / "feats" / "loud.cvf")
+    args = ["--model", str(tmp_path / "m.ckpt"), "--features-dir", str(tmp_path / "feats")]
+    assert cli.main(["enhance", *args, "--out-dir", str(tmp_path / "out")]) == 1
+    assert "loud: normalized features leave the float32 range" in capsys.readouterr().err
 
 
 def test_identity_converters_make_both_paths_no_ops(monkeypatch):
