@@ -185,8 +185,8 @@ class NormStats:
             raise ShapeError(f"norm stats must be ({N_DIMS},) vectors")
         if not np.all(np.isfinite(self.mean)):
             raise InputError("norm mean must be finite")
-        if not np.all((self.std > 0) & np.isfinite(self.std)):
-            raise InputError("norm std must be positive and finite (flooring missed?)")
+        if not np.all((self.std >= STD_FLOOR) & np.isfinite(self.std)):
+            raise InputError(f"norm std must be finite and at least {STD_FLOOR} (flooring missed?)")
 
 
 def compute_norm_stats(feats):

@@ -25,17 +25,28 @@ batch-minor, (n + k, d, B), so each per-frame product is one C-ordered
 weight (rows x d) @ (d x B) block. Conversion runs it with B = 1. A
 training step runs g(Y) at B = 1 and then both f terms as the two columns
 of one B = 2 pass over [X, splice(g(Y), Y)], and backward the same way:
-four frame loops per step instead of six.
+four frame loops per step instead of six. Once f's reverse loop ends, one
+helper thread runs f's weight-gradient sums while the calling thread runs
+g's backward pass, which needs none of them; g's own sums are then split
+between the two threads; NumPy's BLAS calls and large copies release the
+interpreter lock, which lets the two overlap. With one usable CPU every
+sum runs on the calling thread. Each sum runs whole on one thread, its
+fixed blocks in order, so no gradient byte depends on which thread ran it
+or when.
 """
 
 import dataclasses
 import math
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit
 
+from .acoustics import _usable_cpus
 from .errors import ConfigError, FormatError, InputError, PairingError, ShapeError, check
 from .features import MCEP_DIM, N_DIMS, NormStats, write_atomic
 
@@ -264,23 +275,26 @@ def _net_forward(model, net, x, teachers=None):
     return y, cache
 
 
-def _net_backward(model, net, cache, d_y, input_col=None):
+def _net_backward(model, net, cache, d_y, pool, input_col=None):
     """Gradients of a scalar loss through one converter's B columns.
 
     `cache` is what `_net_forward` returned for the columns, and `d_y` the
-    (n, out_dim, B) loss gradient w.r.t. their outputs. Returns the
-    parameter gradients for this net, summed over the columns, and the
-    (n, in_dim) gradient w.r.t. input column `input_col`, or None when it is
-    None (g's input is data). Autoregressive feedback adds each frame's
-    GRU-input gradient onto the previous frame's output gradient, in the
-    free-running columns only: a teacher column's feedback came from constants.
+    (n, out_dim, B) loss gradient w.r.t. their outputs. Returns futures of
+    the parameter gradients for this net, summed over the columns (join
+    them with `_gradients`), and the (n, in_dim) gradient w.r.t. input
+    column `input_col`, or None when it is None (g's input is data).
+    Autoregressive feedback adds each frame's GRU-input gradient onto the
+    previous frame's output gradient, in the free-running columns only: a
+    teacher column's feedback came from constants.
 
     The ReLU masks and the gate-derivative factors are computed for all
     frames before the reverse loop, and each frame's gate gradients are
     written in place over its factors, so each frame costs its transposed
     (rows x d) @ (d x B) products and a few in-place multiplies. Gradients
     that land on the zero frames in front of a history are discarded. After
-    the loop, `weight_grad` sums each weight over (B * n)-row stacks in fixed blocks.
+    the loop, `_weight_grad` sums each weight over (B * n)-row stacks in
+    fixed blocks, on `pool` or on this thread (see below); with `pool`
+    None, every sum runs on this thread.
     """
     arch = model.arch
     params = model.params
@@ -360,53 +374,95 @@ def _net_backward(model, net, cache, d_y, input_col=None):
             d_fb *= feed
         d_y_rows[t + k - 1] += d_fb
 
-    def stacked(a):  # (n, d, B) -> C-ordered (B, n, d)
-        return np.ascontiguousarray(a.transpose(2, 0, 1))
-
-    def weight_grad(d, u):
-        """d.T @ u of two (B * n)-row stacks in _GRAD_BLOCK-row blocks, in order: thread-invariant
-        while OpenBLAS keeps each block on one thread, as 0.3.31 does but does not promise."""
-        d, u = d.reshape(-1, d.shape[-1]), u.reshape(-1, u.shape[-1])
-        grad = d[:_GRAD_BLOCK].T @ u[:_GRAD_BLOCK]
-        for lo in range(_GRAD_BLOCK, len(d), _GRAD_BLOCK):
-            grad += d[lo : lo + _GRAD_BLOCK].T @ u[lo : lo + _GRAD_BLOCK]
-        return grad
-
-    grads = {}
-    for layer in range(arch.out_conv_layers):
-        d_pre = stacked(d_rows[layer + 1][k:])
-        u = _unfold_rows(rows[layer][1:].transpose(2, 0, 1), n, k)
-        grads[f"{net}.out{layer}.W"] = weight_grad(d_pre, u)
-        grads[f"{net}.out{layer}.b"] = d_pre.sum(axis=1).sum(axis=0)
-
-    # one stacked gate gradient at a time: each is as large as d_gi
-    d_gate = stacked(d_gi_flat)
-    u = np.concatenate([cache["a_top"], cache["ar"].transpose(2, 0, 1)], axis=2)
-    grads[f"{net}.gru.Wg"] = weight_grad(d_gate, u)
-    grads[f"{net}.gru.bW"] = d_gate.sum(axis=1).sum(axis=0)
+    # a queued sum holds views; its C-ordered stacks are made on the thread
+    # that runs it, right before it. Only Wg's are made here, as d_gate
+    # feeds the chain too
+    d_gate = np.ascontiguousarray(d_gi_flat.transpose(2, 0, 1))
+    u_gate = np.concatenate([cache["a_top"], cache["ar"].transpose(2, 0, 1)], axis=2)
+    gru = (f"{net}.gru.Wg", f"{net}.gru.bW", d_gate, u_gate)
+    # with an input gradient to form, the caller waits on this thread, so the
+    # pool runs every sum, Wg's first because it holds the largest arrays;
+    # without one, this thread runs the sums over its own chain's stacks (Wg
+    # and the input convs) while the pool runs the rest
+    submit = pool.submit if pool is not None else _at_once
+    chain_sums = submit if input_col is not None else _at_once
+    wg_sum = submit(_layer_grads, *gru) if input_col is not None else None
+    ug_sum = submit(
+        _layer_grads, f"{net}.gru.Ug", f"{net}.gru.bU",
+        d_gh_flat.transpose(2, 0, 1), h_prev_rows.transpose(2, 0, 1),
+    )
+    sums = [
+        submit(
+            _layer_grads, f"{net}.out{layer}.W", f"{net}.out{layer}.b",
+            d_rows[layer + 1][k:].transpose(2, 0, 1), _windows(rows[layer], k),
+        )
+        for layer in range(arch.out_conv_layers)
+    ]
+    if wg_sum is None:
+        wg_sum = _at_once(_layer_grads, *gru)
+    sums += [wg_sum, ug_sum]
     d_a = d_gate @ wg[:, : arch.conv_channels]
-    del d_gate, u
-    d_gate = stacked(d_gh_flat)
-    grads[f"{net}.gru.Ug"] = weight_grad(d_gate, stacked(h_prev_rows))
-    grads[f"{net}.gru.bU"] = d_gate.sum(axis=1).sum(axis=0)
+    del d_gate, u_gate, gru
 
     # the input convs, on (B, n, d) arrays; layer 0's input gradient is
     # formed for `input_col` alone
     for layer in range(arch.in_conv_layers - 1, -1, -1):
         u, zpre = cache["in"][layer]
         d_z = d_a * (zpre.reshape(d_a.shape) > 0)
-        grads[f"{net}.in{layer}.W"] = weight_grad(d_z, u)
-        grads[f"{net}.in{layer}.b"] = d_z.sum(axis=1).sum(axis=0)
+        u = u.reshape(d_z.shape[0], n, -1)
+        sums.append(chain_sums(_layer_grads, f"{net}.in{layer}.W", f"{net}.in{layer}.b", d_z, u))
         if layer == 0:
             if input_col is None:
-                return grads, None
+                return sums, None
             d_z = d_z[input_col, None]
         d_u = (d_z @ params[f"{net}.in{layer}.W"]).reshape(len(d_z), n, k, -1)
         d_pad = np.zeros((len(d_z), n + k - 1, d_u.shape[-1]), dtype=dtype)
         for i in range(k):
             d_pad[:, i : i + n] += d_u[:, :, i]
         d_a = d_pad[:, k - 1 :]
-    return grads, d_a[0]
+    return sums, d_a[0]
+
+
+def _windows(hist, k):
+    """(B, n, k * d) view of an (n + k, d, B) history whose row t in column b
+    is the causal window of frame t: history rows t + 1 .. t + k, oldest first."""
+    d = hist.shape[1]
+    flat = hist.reshape(-1, hist.shape[2])
+    return sliding_window_view(flat[d:], k * d, axis=0)[::d].transpose(1, 0, 2)
+
+
+def _weight_grad(d, u):
+    """d.T @ u over the (B * n)-row stacks of two C-ordered (B, n, .) arrays,
+    one _GRAD_BLOCK-row block at a time, in order.
+
+    One thread runs all of a sum, so its bytes depend on neither the thread
+    it runs on nor what runs beside it. They are also BLAS-thread-invariant
+    while OpenBLAS keeps each block on one thread, as 0.3.31 does but does
+    not promise."""
+    d, u = d.reshape(-1, d.shape[-1]), u.reshape(-1, u.shape[-1])
+    grad = d[:_GRAD_BLOCK].T @ u[:_GRAD_BLOCK]
+    for lo in range(_GRAD_BLOCK, len(d), _GRAD_BLOCK):
+        grad += d[lo : lo + _GRAD_BLOCK].T @ u[lo : lo + _GRAD_BLOCK]
+    return grad
+
+
+def _layer_grads(w_name, b_name, d, u):
+    """One layer's weight and bias gradients from (B, n, .) arrays or views
+    of its output gradient `d` and its input `u`, stacked C-ordered here."""
+    d, u = np.ascontiguousarray(d), np.ascontiguousarray(u)
+    return {w_name: _weight_grad(d, u), b_name: d.sum(axis=1).sum(axis=0)}
+
+
+def _at_once(fn, *args):
+    """fn(*args) on the calling thread, as a finished future."""
+    future = Future()
+    future.set_result(fn(*args))
+    return future
+
+
+def _gradients(sums):
+    """The gradient dicts of `_net_backward`'s futures, joined in order."""
+    return {name: grad for part in sums for name, grad in part.result().items()}
 
 
 def _run_one(model, net, x):
@@ -496,14 +552,22 @@ def loss_gradients(model, x_norm, y_norm, rho=RHO_DEFAULT, teacher_forcing=False
     One backward pass of f over both columns, the cycle column pre-scaled by
     rho, sums the two f terms' weight gradients; the gradient w.r.t. the
     cycle column's input then runs back through g at every rho: at rho = 0
-    g's gradients are zeros, so Adam leaves g unchanged.
+    g's gradients are zeros, so Adam leaves g unchanged. A one-worker pool,
+    open for this call only, runs f's sums during g's backward pass and
+    shares g's; every sum is joined before the call returns. With one
+    usable CPU the sums run on the calling thread instead.
     """
     breakdown, r1, r2, (cache_g, cache_f) = _objective(model, x_norm, y_norm, rho, teacher_forcing)
     scale = 1.0 / r1.size
     d_out = np.stack([np.sign(r1) * scale, np.sign(r2) * (rho * scale)], axis=2)
-    grads, d_spliced = _net_backward(model, "f", cache_f, d_out.astype(model.dtype), input_col=1)
-    # prosody dims of the spliced input are constants w.r.t. parameters
-    grads.update(_net_backward(model, "g", cache_g, d_spliced[:, :MCEP_DIM, None])[0])
+    # on one usable CPU a helper thread could only take turns with this one
+    with ThreadPoolExecutor(1) if _usable_cpus() > 1 else nullcontext() as pool:
+        sums, d_spliced = _net_backward(
+            model, "f", cache_f, d_out.astype(model.dtype), pool, input_col=1
+        )
+        # prosody dims of the spliced input are constants w.r.t. parameters
+        sums += _net_backward(model, "g", cache_g, d_spliced[:, :MCEP_DIM, None], pool)[0]
+        grads = _gradients(sums)
     return breakdown, grads
 
 

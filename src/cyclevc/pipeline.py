@@ -41,18 +41,24 @@ from .wavio import read_wav, write_wav
 
 def generate_pseudo(model, target_feat):
     """Temporally matched vocoder-training features from natural features."""
-    y_norm = normalize(target_feat, model.norm_tgt)
-    converted = cycle_path(model, y_norm)
-    mcep = denormalize_mcep(converted, model.norm_tgt)
-    return target_feat.with_mcep(mcep)
+    return _with_converted_mcep(target_feat, cycle_path, model, model.norm_tgt)
 
 
 def enhance(model, source_feat):
     """Pull synthetic features toward the natural domain (test-time path)."""
-    x_norm = normalize(source_feat, model.norm_src)
-    converted = stot_forward(model, x_norm)
-    mcep = denormalize_mcep(converted, model.norm_tgt)
-    return source_feat.with_mcep(mcep)
+    return _with_converted_mcep(source_feat, stot_forward, model, model.norm_src)
+
+
+def _with_converted_mcep(feat, convert, model, norm):
+    """`feat` with the mel-cepstra that `convert` makes of it, normalized by `norm`."""
+    x_norm = normalize(feat, norm)
+    # finite weights can still overflow float32 in the products; the inf or
+    # nan that results is rejected below, naming the utterance
+    with np.errstate(over="ignore", invalid="ignore"):
+        mcep = denormalize_mcep(convert(model, x_norm), model.norm_tgt)
+    if not np.all(np.isfinite(mcep)):
+        raise InputError(f"{feat.utt_id}: model output is non-finite")
+    return feat.with_mcep(mcep)
 
 
 # ----- stages: each subcommand and run_end_to_end call these ---------------------

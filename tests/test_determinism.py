@@ -1,9 +1,12 @@
 """Byte-identical outputs: analysis at any worker count, training gradients
-at any BLAS thread count, and the fixture corpus.
+with or without their helper thread and at any BLAS thread count, and the
+fixture corpus.
 
-`analyze` runs an utterance's blocks of frames on a thread pool. Each block
-does the same arithmetic wherever it runs, so the pooled result must equal,
-byte for byte, the block function run serially on the calling thread.
+`analyze` runs an utterance's blocks of frames on a thread pool, and
+`loss_gradients` runs weight-gradient sums on a one-worker pool. Each block
+and each sum does the same arithmetic wherever it runs, so the pooled
+result must equal, byte for byte, the same work run serially on the
+calling thread.
 """
 
 import hashlib
@@ -18,7 +21,9 @@ import numpy as np
 import pytest
 
 from cyclevc import acoustics
+from cyclevc import model as core
 from cyclevc.acoustics import BLOCK_FRAMES, FS, HOP, analyze
+from cyclevc.features import N_DIMS, NormStats
 from cyclevc.fixture import make_corpus
 from cyclevc.wavio import read_wav
 
@@ -130,6 +135,83 @@ def test_worker_count_is_usable_cpus_capped_at_the_block_count(monkeypatch, corp
         _analyze_traced(monkeypatch, x, executor=Spy, cpus=cpus)
     _analyze_traced(monkeypatch, _one_block_wave(), executor=Spy, cpus=4)  # one block
     assert seen == [1, 2, n_blocks, 1]
+
+
+@pytest.fixture(scope="module")
+def default_model():
+    norm = NormStats(mean=np.zeros(N_DIMS), std=np.ones(N_DIMS))
+    return core.CycleVCModel.init(core.ModelArch(), norm, norm, seed=3)
+
+
+def _gradients_traced(monkeypatch, model, n, rho, teacher_forcing, cpus):
+    """loss_gradients of a random n-frame pair with `cpus` usable CPUs, and
+    the thread of each weight-gradient sum."""
+    threads = []
+    weight_grad = core._weight_grad
+
+    def traced(d, u):
+        threads.append(threading.get_ident())
+        return weight_grad(d, u)
+
+    x, y = np.random.default_rng(n).normal(size=(2, n, N_DIMS))
+    with monkeypatch.context() as m:
+        m.setattr(core, "_weight_grad", traced)
+        m.setattr(core, "_usable_cpus", lambda: cpus)
+        _, grads = core.loss_gradients(model, x, y, rho=rho, teacher_forcing=teacher_forcing)
+    return grads, threads
+
+
+@pytest.mark.parametrize("switch_interval", [None, 1e-6])
+def test_helper_thread_sums_equal_the_sums_on_the_calling_thread(monkeypatch, default_model, switch_interval):
+    # at 63, 64 and 65 frames the first 64-row block of a sum ends just past,
+    # at and just short of the end of column 0's rows; teacher forcing and
+    # rho change which columns carry gradient
+    main = threading.get_ident()
+    for n in (63, 64, 65, 519):
+        for teacher_forcing in (False, True):
+            for rho in (0.0, 1e-8):
+                # one usable CPU runs every sum on the calling thread
+                serial, serial_threads = _gradients_traced(
+                    monkeypatch, default_model, n, rho, teacher_forcing, cpus=1
+                )
+                interval = sys.getswitchinterval()
+                if switch_interval is not None:
+                    sys.setswitchinterval(switch_interval)
+                try:
+                    pooled, pooled_threads = _gradients_traced(
+                        monkeypatch, default_model, n, rho, teacher_forcing, cpus=2
+                    )
+                finally:
+                    sys.setswitchinterval(interval)
+                assert set(serial_threads) == {main}
+                assert len(pooled_threads) == len(serial_threads)
+                assert main in pooled_threads and len(set(pooled_threads)) == 2
+                assert list(pooled) == list(serial)
+                for name, grad in serial.items():
+                    assert pooled[name].tobytes() == grad.tobytes(), (n, teacher_forcing, rho, name)
+
+
+class _SumFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("on_helper", [True, False])
+def test_a_failing_sum_reaches_the_caller_and_leaves_no_thread(monkeypatch, default_model, on_helper):
+    main = threading.get_ident()
+    weight_grad = core._weight_grad
+
+    def failing(d, u):
+        if (threading.get_ident() != main) == on_helper:
+            raise _SumFailed
+        return weight_grad(d, u)
+
+    monkeypatch.setattr(core, "_weight_grad", failing)
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    x, y = np.random.default_rng(0).normal(size=(2, 65, N_DIMS))
+    before = threading.active_count()
+    with pytest.raises(_SumFailed):
+        core.loss_gradients(default_model, x, y)
+    assert threading.active_count() == before
 
 
 # sha256 of every loss_gradients tensor of one fixed 519-frame pair at the

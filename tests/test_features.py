@@ -16,6 +16,7 @@ from cyclevc.features import (
     LF0_INDEX,
     MCEP_DIM,
     N_DIMS,
+    STD_FLOOR,
     UV_INDEX,
     NormStats,
     UtteranceFeatures,
@@ -351,6 +352,14 @@ def test_non_finite_norm_vectors_are_rejected(field):
     vectors = {"mean": np.zeros(50), "std": np.ones(50)}
     vectors[field][7] = np.nan
     with pytest.raises(InputError, match=f"norm {field}"):
+        NormStats(**vectors)
+
+
+@pytest.mark.parametrize("std", [0.0, 1e-300, STD_FLOOR * (1 - 2**-52)])
+def test_norm_std_below_the_floor_is_rejected(std):
+    vectors = {"mean": np.zeros(50), "std": np.ones(50)}
+    vectors["std"][7] = std
+    with pytest.raises(InputError, match="norm std must be finite and at least"):
         NormStats(**vectors)
 
 

@@ -39,6 +39,13 @@ def _pair(n):
     )
 
 
+def _backward(model, net, cache, d_y, input_col=None):
+    """The kernel's backward pass, its sums run and joined on the calling
+    thread: (gradients, input gradient)."""
+    sums, d_x = core._net_backward(model, net, cache, d_y, None, input_col)
+    return core._gradients(sums), d_x
+
+
 def _assert_grads_close(grads, ref_grads):
     assert set(grads) == set(ref_grads)
     for name, ref in ref_grads.items():
@@ -132,7 +139,7 @@ def test_every_column_of_a_batched_pass_matches_its_single_column_pass(n_cols, k
         # column 1 of its 2-column f pass; the parameter gradients do not
         # depend on which column is asked for
         passes = [
-            core._net_backward(model, net, cache, np.stack(d_ys, axis=2), input_col=col)
+            _backward(model, net, cache, np.stack(d_ys, axis=2), input_col=col)
             for col in range(n_cols)
         ]
         grads = passes[0][0]
@@ -144,9 +151,7 @@ def test_every_column_of_a_batched_pass_matches_its_single_column_pass(n_cols, k
             assert d_x.shape == (n, 50)
             one, one_cache = core._net_forward(model, net, xs[col][:, :, None], [teachers[col]])
             assert np.max(np.abs(out[:, :, col] - one[:, :, 0])) <= OUT_ATOL, (net, col)
-            one_grads, one_d_x = core._net_backward(
-                model, net, one_cache, d_ys[col][:, :, None], input_col=0
-            )
+            one_grads, one_d_x = _backward(model, net, one_cache, d_ys[col][:, :, None], input_col=0)
             for name, g in one_grads.items():
                 ref_grads[name] = ref_grads[name] + g if name in ref_grads else g
             bound = GRAD_RTOL * float(np.max(np.abs(one_d_x)))
@@ -158,6 +163,6 @@ def test_a_pass_without_input_columns_forms_no_input_gradient():
     model = _model(3)
     x, y = _pair(5)
     _, cache = core._net_forward(model, "g", np.stack([x, y], axis=2))
-    grads, d_x = core._net_backward(model, "g", cache, np.ones((5, 45, 2), dtype=np.float32))
+    grads, d_x = _backward(model, "g", cache, np.ones((5, 45, 2), dtype=np.float32))
     assert d_x is None
     assert set(grads) == {name for name in model.params if name.startswith("g.")}

@@ -494,6 +494,18 @@ def test_checkpoint_with_bad_normalization_vector_is_rejected(tmp_path):
         load_checkpoint(path2)
 
 
+def test_checkpoint_with_std_below_the_floor_is_rejected(tmp_path):
+    path = _saved(tmp_path)
+    header, blob = _split_checkpoint(path)
+    lines = [
+        "tgt_std=" + " ".join(["1e-300"] * 50) if l.startswith("tgt_std=") else l
+        for l in header.splitlines()
+    ]
+    _write_checkpoint(path, "\n".join(lines), blob)
+    with pytest.raises(InputError, match="norm std must be finite and at least"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_with_truncated_blob_reports_byte_counts(tmp_path):
     path = _saved(tmp_path)
     header, blob = _split_checkpoint(path)

@@ -56,10 +56,11 @@ def test_enhanced_features_keep_prosody_bit_exactly(n_frames):
 
 
 # 3e38 is a finite float32 that normalizes to 6e38 against a std of 0.5, and
-# 1e9 against a std of 1e-300 normalizes past even the float64 range
-@pytest.mark.parametrize("value, std", [(3e38, 0.5), (1e9, 1e-300)])
-def test_features_past_float32_once_normalized_are_an_input_error(tmp_path, capsys, value, std):
-    norm = NormStats(mean=np.zeros(N_DIMS), std=np.full(N_DIMS, std))
+# 1e9 against a mean of 1e308 and a std of 1e-6 normalizes past even the
+# float64 range
+@pytest.mark.parametrize("value, mean, std", [(3e38, 0.0, 0.5), (1e9, 1e308, 1e-6)])
+def test_features_past_float32_once_normalized_are_an_input_error(tmp_path, capsys, value, mean, std):
+    norm = NormStats(mean=np.full(N_DIMS, mean), std=np.full(N_DIMS, std))
     model = CycleVCModel.init(tiny_arch(), norm, norm, seed=0)
     feat = make_features("loud", 5)
     feat.mcep[2, 0] = value
@@ -71,6 +72,22 @@ def test_features_past_float32_once_normalized_are_an_input_error(tmp_path, caps
     args = ["--model", str(tmp_path / "m.ckpt"), "--features-dir", str(tmp_path / "feats")]
     assert cli.main(["enhance", *args, "--out-dir", str(tmp_path / "out")]) == 1
     assert "loud: normalized features leave the float32 range" in capsys.readouterr().err
+
+
+def test_a_model_whose_output_overflows_is_an_input_error(tmp_path, capsys):
+    # every weight stays finite in float32, but products of them do not
+    model = make_model(seed=2)
+    for param in model.params.values():
+        param *= np.float32(1e30)
+    feat = make_features("loud", 5)
+    for convert in (enhance, generate_pseudo):
+        with pytest.raises(InputError, match="loud: model output is non-finite"):
+            convert(model, feat)
+    save_checkpoint(model, tmp_path / "m.ckpt")
+    write_features(feat, tmp_path / "feats" / "loud.cvf")
+    args = ["--model", str(tmp_path / "m.ckpt"), "--features-dir", str(tmp_path / "feats")]
+    assert cli.main(["enhance", *args, "--out-dir", str(tmp_path / "out")]) == 1
+    assert "loud: model output is non-finite" in capsys.readouterr().err
 
 
 def test_identity_converters_make_both_paths_no_ops(monkeypatch):
