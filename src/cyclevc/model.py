@@ -513,14 +513,20 @@ class LossBreakdown:
         object.__setattr__(self, "total", self.stot_l1 + self.rho * self.cycle_l1)
 
 
-def _objective(model, x_norm, y_norm, rho, teacher_forcing):
-    """The joint objective on one normalized pair. Returns the breakdown, the
-    float64 residuals f(X) - Y and f(splice(g(Y), Y)) - Y (mcep dims), and
-    the caches of g and of f.
+def loss_gradients(model, x_norm, y_norm, rho=RHO_DEFAULT, teacher_forcing=False):
+    """Joint objective and analytic parameter gradients for one pair.
 
     Both f passes share f's weights and the frame count, so they run as the
     two columns of one pass over [X, splice(g(Y), Y)]: under teacher forcing
     column 0 reads Y's mel-cepstra as its feedback and column 1 runs free.
+
+    One backward pass of f over both columns, the cycle column pre-scaled by
+    rho, sums the two f terms' weight gradients; the gradient w.r.t. the
+    cycle column's input then runs back through g at every rho: at rho = 0
+    g's gradients are zeros, so Adam leaves g unchanged. A one-worker pool,
+    open for this call only, runs f's sums during g's backward pass and
+    shares g's; every sum is joined before the call returns. With one
+    usable CPU the sums run on the calling thread instead.
     """
     x = _validate_seq(x_norm, model.arch.in_dim, "source sequence")
     y = _validate_seq(y_norm, model.arch.in_dim, "target sequence")
@@ -538,26 +544,6 @@ def _objective(model, x_norm, y_norm, rho, teacher_forcing):
     r1, r2 = (out[:, :, col].astype(np.float64) - y_mc.astype(np.float64) for col in (0, 1))
     stot, cyc = (float(np.mean(np.abs(r))) for r in (r1, r2))
     breakdown = LossBreakdown(stot_l1=stot, cycle_l1=cyc, rho=rho)
-    return breakdown, r1, r2, (cache_g, cache_f)
-
-
-def cycle_loss(model, x_norm, y_norm, rho=RHO_DEFAULT):
-    """Joint objective on one normalized pair (no gradients)."""
-    return _objective(model, x_norm, y_norm, rho, teacher_forcing=False)[0]
-
-
-def loss_gradients(model, x_norm, y_norm, rho=RHO_DEFAULT, teacher_forcing=False):
-    """Joint objective and analytic parameter gradients for one pair.
-
-    One backward pass of f over both columns, the cycle column pre-scaled by
-    rho, sums the two f terms' weight gradients; the gradient w.r.t. the
-    cycle column's input then runs back through g at every rho: at rho = 0
-    g's gradients are zeros, so Adam leaves g unchanged. A one-worker pool,
-    open for this call only, runs f's sums during g's backward pass and
-    shares g's; every sum is joined before the call returns. With one
-    usable CPU the sums run on the calling thread instead.
-    """
-    breakdown, r1, r2, (cache_g, cache_f) = _objective(model, x_norm, y_norm, rho, teacher_forcing)
     scale = 1.0 / r1.size
     d_out = np.stack([np.sign(r1) * scale, np.sign(r2) * (rho * scale)], axis=2)
     # on one usable CPU a helper thread could only take turns with this one

@@ -1,10 +1,10 @@
 """Signal-processing primitives behind the acoustic analyzer.
 
 Covers the all-pass frequency warp, a warped-cepstrum codec (log spectral
-envelope <-> truncated cepstrum on the warped axis), a YIN-style period
-estimator that runs on a block of frames at once, and a moving average.
-The harmonic probes themselves live in the analyzer (`acoustics._probe`,
-one Bluestein pass per block of voiced frames).
+envelope on a uniform grid of the warped axis <-> truncated cepstrum), a
+YIN-style period estimator that runs on a block of frames at once, and a
+moving average. The harmonic probes themselves live in the analyzer
+(`acoustics._probe`, one Bluestein pass per block of voiced frames).
 """
 
 import numpy as np
@@ -27,14 +27,14 @@ def warp_frequency(omega, alpha):
 
 
 class WarpedCepstrumCodec:
-    """Converts between sampled log spectral envelopes and warped cepstra.
+    """Converts between log spectral envelopes and warped cepstra.
 
-    The envelope is resampled onto a uniform grid of the warped frequency
-    axis (GRID_SIZE + 1 nodes over [0, pi]); the cepstrum is the DCT-I of
-    that grid truncated to `order` coefficients. Reconstruction is the exact
-    cosine expansion of the truncated cepstrum, so an envelope that came from
-    a cepstrum round-trips through the codec unchanged up to grid
-    interpolation.
+    Envelopes come sampled on the codec's grid, GRID_SIZE + 1 uniform
+    nodes of the warped axis over [0, pi] at the frequencies node_freq_hz;
+    the cepstrum is the DCT-I of that grid truncated to `order`
+    coefficients. Reconstruction is the exact cosine expansion of the
+    truncated cepstrum, so an envelope that came from a cepstrum
+    round-trips through the codec unchanged up to grid interpolation.
     """
 
     GRID_SIZE = 512
@@ -46,10 +46,6 @@ class WarpedCepstrumCodec:
         warped_grid = np.pi * np.arange(self.GRID_SIZE + 1) / self.GRID_SIZE
         # linear-frequency position (Hz) of each warped grid node
         self.node_freq_hz = warp_frequency(warped_grid, -self.alpha) * self.fs / (2.0 * np.pi)
-
-    def cepstrum(self, freqs_hz, log_env):
-        """Truncated warped cepstrum of a log envelope sampled at freqs_hz (sorted)."""
-        return self.grid_cepstrum(np.interp(self.node_freq_hz, freqs_hz, log_env))
 
     def grid_cepstrum(self, on_grid):
         """Truncated warped cepstra of log envelopes sampled at node_freq_hz,
@@ -155,8 +151,6 @@ def box_smooth(values, half_width):
     """Moving average with window (2*half_width + 1), edge-shrunk at borders,
     along the last axis."""
     v = np.asarray(values, dtype=np.float64)
-    if half_width <= 0:
-        return v.copy()
     n = v.shape[-1]
     c = np.zeros(v.shape[:-1] + (n + 1,))
     np.cumsum(v, axis=-1, out=c[..., 1:])

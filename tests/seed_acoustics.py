@@ -196,7 +196,7 @@ class SeedAnalyzer:
         freqs = np.arange(1, n_harm + 1) * f0
         xp = np.concatenate([[0.0], freqs, [NYQUIST]])
         fp = np.concatenate([[log_h[0]], log_h, [log_h[-1]]])
-        cep = self.codec.cepstrum(xp, fp)
+        cep = self.codec.grid_cepstrum(np.interp(self.codec.node_freq_hz, xp, fp))
 
         inter_freqs = (np.arange(1, n_harm + 1) - 0.5) * f0
         cap = np.zeros(CAP_DIM)
@@ -214,7 +214,8 @@ class SeedAnalyzer:
         power = box_smooth(np.abs(spectrum) ** 2, SMOOTH_HALF_BINS)
         amp = 2.0 * np.sqrt(power) / self._uv_window.sum()
         floor = max(amp.max() * AMP_RANGE, AMP_FLOOR)
-        return self.codec.cepstrum(self._uv_freqs, np.log(np.maximum(amp, floor)))
+        log_amp = np.log(np.maximum(amp, floor))
+        return self.codec.grid_cepstrum(np.interp(self.codec.node_freq_hz, self._uv_freqs, log_amp))
 
 
 # ----- synthesis ----------------------------------------------------------------

@@ -19,11 +19,15 @@ here checks a user-visible contract, most of them at full scale:
 6.  The planar distance embedding is exact on planar inputs and degrades
     gracefully (positive stress) on non-planar ones.
 7.  Identical corpus, config, and seed reproduce every artifact byte for
-    byte, and persistence round trips are bit-exact.
+    byte, in two processes with different string-hash seeds, and
+    persistence round trips are bit-exact.
 8.  The analysis/synthesis backend round-trips speech with low voiced-frame
     distortion.
 """
 
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -40,7 +44,6 @@ from cyclevc.fixture import make_corpus
 from cyclevc.model import (
     CycleVCModel,
     ModelArch,
-    cycle_loss,
     load_checkpoint,
     loss_gradients,
     save_checkpoint,
@@ -50,9 +53,6 @@ from cyclevc.pipeline import run_end_to_end
 from cyclevc.training import TrainConfig, pair_features, train
 from cyclevc.wavio import read_wav
 
-RUN_NAMES = ("run_a", "run_b")
-
-
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("acceptance-corpus")
@@ -60,21 +60,73 @@ def corpus_dir(tmp_path_factory):
     return d
 
 
+# run_b's whole job in a fresh interpreter: argv is the corpus and the work
+# dir; the last stdout line is the run's wall time in seconds
+RUN_B_SCRIPT = """
+import sys, time
+from pathlib import Path
+from cyclevc.degrade import DegradeConfig
+from cyclevc.pipeline import run_end_to_end
+from cyclevc.training import TrainConfig
+
+start = time.perf_counter()
+run_end_to_end(
+    Path(sys.argv[1]), Path(sys.argv[2]), train_config=TrainConfig(), degrade_config=DegradeConfig()
+)
+print(time.perf_counter() - start)
+"""
+
+
 @pytest.fixture(scope="module")
 def runs(corpus_dir, tmp_path_factory):
-    """Two identical full-default pipeline runs, each with its wall time."""
+    """Two identical full-default pipeline runs, each with its wall time.
+
+    run_b runs in a fresh interpreter on this checkout's src/, with a fixed
+    string-hash seed other than this process's, while run_a runs here. So
+    the two runs share no hash seed, allocator state or module cache, as a
+    rerun on another day would not. run_b's summary holds its work_dir only.
+    """
     base = tmp_path_factory.mktemp("acceptance-runs")
-    out = {}
-    for name in RUN_NAMES:
-        start = time.perf_counter()
-        summary = run_end_to_end(
-            corpus_dir,
-            base / name,
-            train_config=TrainConfig(),
-            degrade_config=DegradeConfig(),
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    hash_seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = dict(
+        os.environ,
+        PYTHONHASHSEED=hash_seed,
+        PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+    )
+    # the bytes are the same at any BLAS thread count; with none set, both
+    # runs would start one spinning BLAS thread per CPU and take turns on
+    # them, several times slower than the two runs one after the other
+    env.setdefault("OPENBLAS_NUM_THREADS", "1")
+    with open(base / "run_b.stderr", "w+") as err:
+        child = subprocess.Popen(
+            [sys.executable, "-c", RUN_B_SCRIPT, str(corpus_dir), str(base / "run_b")],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=err,
+            text=True,
         )
-        out[name] = (summary, time.perf_counter() - start)
-    return out
+        try:
+            start = time.perf_counter()
+            summary = run_end_to_end(
+                corpus_dir,
+                base / "run_a",
+                train_config=TrainConfig(),
+                degrade_config=DegradeConfig(),
+            )
+            elapsed = time.perf_counter() - start
+        except BaseException:
+            child.kill()
+            raise
+        finally:
+            out, _ = child.communicate()
+        if child.returncode != 0:
+            err.seek(0)
+            pytest.fail(f"run_b exited with {child.returncode}:\n{err.read()}")
+    return {
+        "run_a": (summary, elapsed),
+        "run_b": ({"work_dir": base / "run_b"}, float(out.split()[-1])),
+    }
 
 
 # 1. end-to-end ordering ----------------------------------------------------
@@ -224,7 +276,7 @@ def test_rho_zero_reduces_to_plain_l1(rng):
         n = int(rng.integers(2, 9))
         x = rng.normal(size=(n, arch.in_dim))
         y = rng.normal(size=(n, arch.in_dim))
-        loss = cycle_loss(model, x, y, rho=0.0)
+        loss = loss_gradients(model, x, y, rho=0.0)[0]
         plain_l1 = float(
             np.mean(np.abs(stot_forward(model, x) - y[:, :MCEP_DIM]))
         )
@@ -250,7 +302,7 @@ def test_total_equals_stot_plus_rho_cycle_on_1000_random_inputs(rng):
         rho = rhos[i % len(rhos)]
         x = rng.normal(size=(2, 50))
         y = rng.normal(size=(2, 50))
-        loss = cycle_loss(model, x, y, rho=rho)
+        loss = loss_gradients(model, x, y, rho=rho)[0]
         assert loss.rho == rho
         assert loss.total == loss.stot_l1 + rho * loss.cycle_l1
 

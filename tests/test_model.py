@@ -16,7 +16,6 @@ from cyclevc.model import (
     ModelArch,
     _net_forward,
     _unfold_rows,
-    cycle_loss,
     cycle_path,
     load_checkpoint,
     loss_gradients,
@@ -248,36 +247,30 @@ def test_identity_converters_make_the_cycle_reproduce_the_target(rng, monkeypatc
 
 def test_loss_terms_match_independent_recomputation(rng):
     model = make_model(seed=6)
-    x, y = _rand_pair(rng, 9)
-    rho = 0.125
-    loss = cycle_loss(model, x, y, rho=rho)
-    y_mc = np.asarray(y, dtype=np.float32)[:, :45].astype(np.float64)
-    stot = np.mean(np.abs(stot_forward(model, x).astype(np.float64) - y_mc))
-    cyc = np.mean(np.abs(cycle_path(model, y).astype(np.float64) - y_mc))
-    # the objective reads the two columns of one f pass, the recomputation
-    # two single-column passes: the per-frame products round as GEMMs
-    # there and as matrix-vector products here, so the terms agree to
-    # float32 rounding, not bit for bit
-    assert loss.stot_l1 == pytest.approx(stot, rel=1e-6)
-    assert loss.cycle_l1 == pytest.approx(cyc, rel=1e-6)
-    assert loss.total == loss.stot_l1 + rho * loss.cycle_l1
-    assert loss.rho == rho
-
-
-def test_gradient_call_reports_the_same_breakdown(rng):
     # non-unit stats make the prosody splice depend on the precision of Y,
     # and float64 inputs reach a float32 model as they do in the tests
-    model = make_model(seed=6)
-    model.norm_src = NormStats(mean=rng.normal(size=N_DIMS), std=rng.uniform(0.5, 3.0, N_DIMS))
-    model.norm_tgt = NormStats(mean=rng.normal(size=N_DIMS), std=rng.uniform(0.5, 3.0, N_DIMS))
-    for _ in range(4):
-        x, y = _rand_pair(rng, 9)
-        assert x.dtype == y.dtype == np.float64
-        plain = cycle_loss(model, x, y, rho=0.125)
-        breakdown, _ = loss_gradients(model, x, y, rho=0.125)
-        assert breakdown.stot_l1 == plain.stot_l1
-        assert breakdown.cycle_l1 == plain.cycle_l1
-        assert breakdown.total == plain.total
+    skewed = [
+        NormStats(mean=rng.normal(size=N_DIMS), std=rng.uniform(0.5, 3.0, N_DIMS))
+        for _ in range(2)
+    ]
+    rho = 0.125
+    for stats in ([model.norm_src, model.norm_tgt], skewed):
+        model.norm_src, model.norm_tgt = stats
+        for _ in range(4):
+            x, y = _rand_pair(rng, 9)
+            assert x.dtype == y.dtype == np.float64
+            loss = loss_gradients(model, x, y, rho=rho)[0]
+            y_mc = np.asarray(y, dtype=np.float32)[:, :45].astype(np.float64)
+            stot = np.mean(np.abs(stot_forward(model, x).astype(np.float64) - y_mc))
+            cyc = np.mean(np.abs(cycle_path(model, y).astype(np.float64) - y_mc))
+            # the objective reads the two columns of one f pass, the
+            # recomputation two single-column passes: the per-frame products
+            # round as GEMMs there and as matrix-vector products here, so
+            # the terms agree to float32 rounding, not bit for bit
+            assert loss.stot_l1 == pytest.approx(stot, rel=1e-6)
+            assert loss.cycle_l1 == pytest.approx(cyc, rel=1e-6)
+            assert loss.total == loss.stot_l1 + rho * loss.cycle_l1
+            assert loss.rho == rho
 
 
 def test_gradients_cover_every_parameter(rng):
@@ -311,7 +304,7 @@ def test_rho_zero_freezes_the_backward_converter(rng):
 def test_pairing_and_config_errors(rng):
     model = make_model()
     with pytest.raises(PairingError, match="equal frame counts"):
-        cycle_loss(model, rng.normal(size=(5, 50)), rng.normal(size=(4, 50)))
+        loss_gradients(model, rng.normal(size=(5, 50)), rng.normal(size=(4, 50)))
     with pytest.raises(ConfigError, match="rho"):
         loss_gradients(model, rng.normal(size=(4, 50)), rng.normal(size=(4, 50)), rho=-0.1)
 
@@ -320,9 +313,8 @@ def test_pairing_and_config_errors(rng):
 def test_objective_rejects_a_negative_or_non_finite_rho(rng, rho):
     model = make_model()
     x, y = _rand_pair(rng, 4)
-    for objective in (cycle_loss, loss_gradients):
-        with pytest.raises(ConfigError, match="rho must be non-negative and finite"):
-            objective(model, x, y, rho=rho)
+    with pytest.raises(ConfigError, match="rho must be non-negative and finite"):
+        loss_gradients(model, x, y, rho=rho)
 
 
 def test_gradients_match_finite_differences_spot_check(rng):
@@ -336,9 +328,9 @@ def test_gradients_match_finite_differences_spot_check(rng):
         for idx in rng.integers(0, flat.size, size=3):
             orig = flat[idx]
             flat[idx] = orig + eps
-            up = cycle_loss(model, x, y, rho=rho).total
+            up = loss_gradients(model, x, y, rho=rho)[0].total
             flat[idx] = orig - eps
-            dn = cycle_loss(model, x, y, rho=rho).total
+            dn = loss_gradients(model, x, y, rho=rho)[0].total
             flat[idx] = orig
             fd = (up - dn) / (2.0 * eps)
             an = float(grads[name].ravel()[idx])
