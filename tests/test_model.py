@@ -245,32 +245,35 @@ def test_identity_converters_make_the_cycle_reproduce_the_target(rng, monkeypatc
 # ----- loss -----------------------------------------------------------------------
 
 
+def _assert_breakdown_matches_recomputation(model, rng, rho=0.125):
+    for _ in range(4):
+        x, y = _rand_pair(rng, 9)
+        assert x.dtype == y.dtype == np.float64
+        loss = loss_gradients(model, x, y, rho=rho)[0]
+        y_mc = np.asarray(y, dtype=np.float32)[:, :45].astype(np.float64)
+        stot = np.mean(np.abs(stot_forward(model, x).astype(np.float64) - y_mc))
+        cyc = np.mean(np.abs(cycle_path(model, y).astype(np.float64) - y_mc))
+        # the objective reads the two columns of one f pass, the
+        # recomputation two single-column passes: the per-frame products
+        # round as GEMMs there and as matrix-vector products here, so
+        # the terms agree to float32 rounding, not bit for bit
+        assert loss.stot_l1 == pytest.approx(stot, rel=1e-6)
+        assert loss.cycle_l1 == pytest.approx(cyc, rel=1e-6)
+        assert loss.total == loss.stot_l1 + rho * loss.cycle_l1
+        assert loss.rho == rho
+
+
 def test_loss_terms_match_independent_recomputation(rng):
-    model = make_model(seed=6)
+    _assert_breakdown_matches_recomputation(make_model(seed=6), rng)
+
+
+def test_gradient_call_reports_the_same_breakdown(rng):
     # non-unit stats make the prosody splice depend on the precision of Y,
     # and float64 inputs reach a float32 model as they do in the tests
-    skewed = [
-        NormStats(mean=rng.normal(size=N_DIMS), std=rng.uniform(0.5, 3.0, N_DIMS))
-        for _ in range(2)
-    ]
-    rho = 0.125
-    for stats in ([model.norm_src, model.norm_tgt], skewed):
-        model.norm_src, model.norm_tgt = stats
-        for _ in range(4):
-            x, y = _rand_pair(rng, 9)
-            assert x.dtype == y.dtype == np.float64
-            loss = loss_gradients(model, x, y, rho=rho)[0]
-            y_mc = np.asarray(y, dtype=np.float32)[:, :45].astype(np.float64)
-            stot = np.mean(np.abs(stot_forward(model, x).astype(np.float64) - y_mc))
-            cyc = np.mean(np.abs(cycle_path(model, y).astype(np.float64) - y_mc))
-            # the objective reads the two columns of one f pass, the
-            # recomputation two single-column passes: the per-frame products
-            # round as GEMMs there and as matrix-vector products here, so
-            # the terms agree to float32 rounding, not bit for bit
-            assert loss.stot_l1 == pytest.approx(stot, rel=1e-6)
-            assert loss.cycle_l1 == pytest.approx(cyc, rel=1e-6)
-            assert loss.total == loss.stot_l1 + rho * loss.cycle_l1
-            assert loss.rho == rho
+    model = make_model(seed=6)
+    model.norm_src = NormStats(mean=rng.normal(size=N_DIMS), std=rng.uniform(0.5, 3.0, N_DIMS))
+    model.norm_tgt = NormStats(mean=rng.normal(size=N_DIMS), std=rng.uniform(0.5, 3.0, N_DIMS))
+    _assert_breakdown_matches_recomputation(model, rng)
 
 
 def test_gradients_cover_every_parameter(rng):
