@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 bad input or configuration, 2 internal failure.
 """
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -18,7 +17,7 @@ from . import fixture
 from .degrade import DegradeConfig, simulate_tts
 from .errors import ConfigError, CycleVCError, InputError
 from .evaluation import ROLES, mcd_set
-from .features import read_features, write_manifest
+from .features import read_features
 from .model import load_checkpoint
 from .pipeline import (
     END_TO_END_STAGES,
@@ -29,6 +28,7 @@ from .pipeline import (
     extract,
     fit,
     generate_pseudo,
+    pair_manifest,
     render,
     run_end_to_end,
 )
@@ -38,16 +38,6 @@ from .training import TrainConfig, pair_dataset, pairing_report
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
-
-
-def _add_config_options(parser, config_cls):
-    """One option per scalar field of a config dataclass, with its default."""
-    for f in config_fields(config_cls):
-        flag = "--" + f.name.replace("_", "-")
-        if f.type is bool:
-            parser.add_argument(flag, action="store_true", default=f.default)
-        else:
-            parser.add_argument(flag, type=f.type, default=f.default)
 
 
 def _config(config_cls, args):
@@ -60,66 +50,52 @@ def _build_parser():
     sub.required = True
     parsers = {}
 
-    def command(name, help_text, handler):
+    def command(name, help_text, handler, *required, config=None):
+        """A subcommand with --config, the `required` options, and one
+        option per scalar field of the `config` dataclass, with its default."""
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("--config", help="key=value file with defaults for this command")
+        for flag in required:
+            p.add_argument(flag, required=True)
+        for f in config_fields(config) if config else ():
+            flag = "--" + f.name.replace("_", "-")
+            if f.type is bool:
+                p.add_argument(flag, action="store_true", default=f.default)
+            else:
+                p.add_argument(flag, type=f.type, default=f.default)
         p.set_defaults(handler=handler)
         parsers[name] = p
         return p
 
-    p = command("extract", "analyze WAV files into feature files", _cmd_extract)
-    p.add_argument("--wav-dir", required=True)
-    p.add_argument("--out-dir", required=True)
+    command("extract", "analyze WAV files into feature files", _cmd_extract,
+            "--wav-dir", "--out-dir")
+    command("simulate", "degrade natural features into synthetic-like ones", _cmd_simulate,
+            "--features-dir", "--out-dir", config=DegradeConfig)
+    command("manifest", "pair natural and synthetic feature dirs by stem", _cmd_manifest,
+            "--natural-dir", "--synthetic-dir", "--out")
+    command("train", "train the converter pair on a paired manifest", _cmd_train,
+            "--manifest", "--out-dir", config=TrainConfig)
+    command("pseudo", "self-convert natural features for vocoder training", _cmd_pseudo,
+            "--model", "--features-dir", "--out-dir")
+    command("enhance", "convert synthetic features toward the natural domain", _cmd_enhance,
+            "--model", "--features-dir", "--out-dir")
+    command("synth", "render feature files to WAV with the resynthesizer", _cmd_synth,
+            "--features-dir", "--out-dir")
+    command("mcd", "mean mel-cepstral distortion between two feature sets", _cmd_mcd,
+            "--set-a", "--set-b")
 
-    p = command("simulate", "degrade natural features into synthetic-like ones", _cmd_simulate)
-    p.add_argument("--features-dir", required=True)
-    p.add_argument("--out-dir", required=True)
-    _add_config_options(p, DegradeConfig)
-
-    p = command("manifest", "pair natural and synthetic feature dirs by stem", _cmd_manifest)
-    p.add_argument("--natural-dir", required=True)
-    p.add_argument("--synthetic-dir", required=True)
-    p.add_argument("--out", required=True)
-
-    p = command("train", "train the converter pair on a paired manifest", _cmd_train)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out-dir", required=True)
-    _add_config_options(p, TrainConfig)
-
-    p = command("pseudo", "self-convert natural features for vocoder training", _cmd_pseudo)
-    p.add_argument("--model", required=True)
-    p.add_argument("--features-dir", required=True)
-    p.add_argument("--out-dir", required=True)
-
-    p = command("enhance", "convert synthetic features toward the natural domain", _cmd_enhance)
-    p.add_argument("--model", required=True)
-    p.add_argument("--features-dir", required=True)
-    p.add_argument("--out-dir", required=True)
-
-    p = command("synth", "render feature files to WAV with the resynthesizer", _cmd_synth)
-    p.add_argument("--features-dir", required=True)
-    p.add_argument("--out-dir", required=True)
-
-    p = command("mcd", "mean mel-cepstral distortion between two feature sets", _cmd_mcd)
-    p.add_argument("--set-a", required=True)
-    p.add_argument("--set-b", required=True)
-
+    # the role dirs come before --out-dir in plane's usage line
     p = command("plane", "embed pairwise set MCDs into a labeled 2-D map", _cmd_plane)
     for role in ROLES:
         p.add_argument(f"--{role}-dir")
     p.add_argument("--out-dir", required=True)
 
-    p = command("fixture", "generate the deterministic demo corpus", _cmd_fixture)
-    p.add_argument("--out-dir", required=True)
+    p = command("fixture", "generate the deterministic demo corpus", _cmd_fixture, "--out-dir")
     p.add_argument("--count", type=int, default=fixture.DEFAULT_UTTERANCES)
     p.add_argument("--seed", type=int, default=fixture.DEFAULT_SEED)
 
-    p = command(
-        "end-to-end", "full demo: extract, degrade, train, render, report", _cmd_end_to_end
-    )
-    p.add_argument("--wav-dir", required=True)
-    p.add_argument("--work-dir", required=True)
-    _add_config_options(p, TrainConfig)
+    p = command("end-to-end", "full demo: extract, degrade, train, render, report",
+                _cmd_end_to_end, "--wav-dir", "--work-dir", config=TrainConfig)
     p.add_argument("--sim-seed", type=int, default=DegradeConfig.seed)
     p.add_argument("--dry-run", action="store_true")
 
@@ -216,17 +192,12 @@ def _cmd_simulate(args):
 
 
 def _cmd_manifest(args):
-    nat = {p.stem: p for p in _feature_files(args.natural_dir, "natural")}
-    syn = {p.stem: p for p in _feature_files(args.synthetic_dir, "synthetic")}
-    missing = sorted(set(nat) ^ set(syn))
+    nat = {p.stem for p in _feature_files(args.natural_dir, "natural")}
+    syn = {p.stem for p in _feature_files(args.synthetic_dir, "synthetic")}
+    missing = sorted(nat ^ syn)
     if missing:
         raise InputError(f"utterances present on one side only: {', '.join(missing)}")
-    # read_manifest resolves relative paths against the manifest's directory
-    base = os.path.dirname(os.path.abspath(args.out))
-    records = [
-        (u, os.path.relpath(nat[u], base), os.path.relpath(syn[u], base)) for u in sorted(nat)
-    ]
-    write_manifest(records, args.out)
+    pair_manifest(sorted(nat), args.natural_dir, args.synthetic_dir, args.out)
     print(f"wrote {len(nat)} pairs -> {args.out}")
 
 

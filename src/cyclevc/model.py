@@ -25,14 +25,15 @@ batch-minor, (n + k, d, B), so each per-frame product is one C-ordered
 weight (rows x d) @ (d x B) block. Conversion runs it with B = 1. A
 training step runs g(Y) at B = 1 and then both f terms as the two columns
 of one B = 2 pass over [X, splice(g(Y), Y)], and backward the same way:
-four frame loops per step instead of six. Once f's reverse loop ends, one
-helper thread runs f's weight-gradient sums while the calling thread runs
-g's backward pass, which needs none of them; g's own sums are then split
-between the two threads; NumPy's BLAS calls and large copies release the
-interpreter lock, which lets the two overlap. With one usable CPU every
-sum runs on the calling thread. Each sum runs whole on one thread, its
-fixed blocks in order, so no gradient byte depends on which thread ran it
-or when.
+four frame loops per step instead of six. `loss_gradients` alone places
+the weight-gradient sums: once f's reverse loop ends, one helper thread
+runs all of f's sums while the calling thread runs g's backward pass, which
+needs none of them; the helper then runs g's Ug and output-conv sums while
+the calling thread runs g's Wg and input-conv sums. NumPy's BLAS calls and
+large copies release the interpreter lock, which lets the two overlap. With
+one usable CPU every sum runs on the calling thread. Each sum runs whole on
+one thread, its fixed blocks in order, so no gradient byte depends on which
+thread ran it or when.
 """
 
 import dataclasses
@@ -275,7 +276,7 @@ def _net_forward(model, net, x, teachers=None):
     return y, cache
 
 
-def _net_backward(model, net, cache, d_y, pool, input_col=None):
+def _net_backward(model, net, cache, d_y, loop_sums, chain_sums, input_col=None):
     """Gradients of a scalar loss through one converter's B columns.
 
     `cache` is what `_net_forward` returned for the columns, and `d_y` the
@@ -293,8 +294,10 @@ def _net_backward(model, net, cache, d_y, pool, input_col=None):
     (rows x d) @ (d x B) products and a few in-place multiplies. Gradients
     that land on the zero frames in front of a history are discarded. After
     the loop, `_weight_grad` sums each weight over (B * n)-row stacks in
-    fixed blocks, on `pool` or on this thread (see below); with `pool`
-    None, every sum runs on this thread.
+    fixed blocks. Each sum goes to `loop_sums` (Ug and the output convs,
+    over the reverse loop's stacks) or to `chain_sums` (Wg and the input
+    convs); both take (fn, *args) and return a future, as `Executor.submit`
+    and `_at_once` do, and the caller picks where each set runs.
     """
     arch = model.arch
     params = model.params
@@ -379,30 +382,20 @@ def _net_backward(model, net, cache, d_y, pool, input_col=None):
     # feeds the chain too
     d_gate = np.ascontiguousarray(d_gi_flat.transpose(2, 0, 1))
     u_gate = np.concatenate([cache["a_top"], cache["ar"].transpose(2, 0, 1)], axis=2)
-    gru = (f"{net}.gru.Wg", f"{net}.gru.bW", d_gate, u_gate)
-    # with an input gradient to form, the caller waits on this thread, so the
-    # pool runs every sum, Wg's first because it holds the largest arrays;
-    # without one, this thread runs the sums over its own chain's stacks (Wg
-    # and the input convs) while the pool runs the rest
-    submit = pool.submit if pool is not None else _at_once
-    chain_sums = submit if input_col is not None else _at_once
-    wg_sum = submit(_layer_grads, *gru) if input_col is not None else None
-    ug_sum = submit(
+    ug_sum = loop_sums(
         _layer_grads, f"{net}.gru.Ug", f"{net}.gru.bU",
         d_gh_flat.transpose(2, 0, 1), h_prev_rows.transpose(2, 0, 1),
     )
     sums = [
-        submit(
+        loop_sums(
             _layer_grads, f"{net}.out{layer}.W", f"{net}.out{layer}.b",
             d_rows[layer + 1][k:].transpose(2, 0, 1), _windows(rows[layer], k),
         )
         for layer in range(arch.out_conv_layers)
     ]
-    if wg_sum is None:
-        wg_sum = _at_once(_layer_grads, *gru)
-    sums += [wg_sum, ug_sum]
+    sums += [chain_sums(_layer_grads, f"{net}.gru.Wg", f"{net}.gru.bW", d_gate, u_gate), ug_sum]
     d_a = d_gate @ wg[:, : arch.conv_channels]
-    del d_gate, u_gate, gru
+    del d_gate, u_gate
 
     # the input convs, on (B, n, d) arrays; layer 0's input gradient is
     # formed for `input_col` alone
@@ -524,9 +517,10 @@ def loss_gradients(model, x_norm, y_norm, rho=RHO_DEFAULT, teacher_forcing=False
     rho, sums the two f terms' weight gradients; the gradient w.r.t. the
     cycle column's input then runs back through g at every rho: at rho = 0
     g's gradients are zeros, so Adam leaves g unchanged. A one-worker pool,
-    open for this call only, runs f's sums during g's backward pass and
-    shares g's; every sum is joined before the call returns. With one
-    usable CPU the sums run on the calling thread instead.
+    open for this call only, runs all of f's sums during g's backward pass
+    and g's loop sums beside g's chain sums; every sum is joined before the
+    call returns. With one usable CPU the sums run on the calling thread
+    instead.
     """
     x = _validate_seq(x_norm, model.arch.in_dim, "source sequence")
     y = _validate_seq(y_norm, model.arch.in_dim, "target sequence")
@@ -548,11 +542,13 @@ def loss_gradients(model, x_norm, y_norm, rho=RHO_DEFAULT, teacher_forcing=False
     d_out = np.stack([np.sign(r1) * scale, np.sign(r2) * (rho * scale)], axis=2)
     # on one usable CPU a helper thread could only take turns with this one
     with ThreadPoolExecutor(1) if _usable_cpus() > 1 else nullcontext() as pool:
+        submit = pool.submit if pool is not None else _at_once
         sums, d_spliced = _net_backward(
-            model, "f", cache_f, d_out.astype(model.dtype), pool, input_col=1
+            model, "f", cache_f, d_out.astype(model.dtype), submit, submit, input_col=1
         )
         # prosody dims of the spliced input are constants w.r.t. parameters
-        sums += _net_backward(model, "g", cache_g, d_spliced[:, :MCEP_DIM, None], pool)[0]
+        d_back = d_spliced[:, :MCEP_DIM, None]
+        sums += _net_backward(model, "g", cache_g, d_back, submit, _at_once)[0]
         grads = _gradients(sums)
     return breakdown, grads
 

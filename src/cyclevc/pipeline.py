@@ -24,6 +24,7 @@ and the waveform directory of its test role.
 """
 
 import dataclasses
+import os
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -98,6 +99,20 @@ def fit(pairs, config, out_dir):
     save_checkpoint(model, out_dir / "model.ckpt")
     write_loss_curve(curve, out_dir / "loss.tsv")
     return model, curve
+
+
+def pair_manifest(utt_ids, natural_dir, synthetic_dir, path):
+    """Write the manifest at `path` pairing `<natural_dir>/<u>.cvf` with
+    `<synthetic_dir>/<u>.cvf` for each u of `utt_ids`, in that order. Its
+    paths are relative to the manifest's own directory, which read_manifest
+    resolves them against, so the bytes do not depend on the working
+    directory."""
+    base = os.path.dirname(os.path.abspath(path))
+
+    def rel(directory, u):
+        return os.path.relpath(os.path.join(directory, f"{u}.cvf"), base)
+
+    write_manifest([(u, rel(natural_dir, u), rel(synthetic_dir, u)) for u in utt_ids], path)
 
 
 def distance_map(sets, out_dir):
@@ -242,18 +257,10 @@ def run_end_to_end(wav_dir, work_dir, train_config=None, degrade_config=None):
     with _stage("split"):
         train_ids, test_ids = split_train_test(natural)
         manifest_path = work / "train_manifest.tsv"
-        # paths relative to the manifest's own directory keep the file
-        # byte-identical across runs in different working directories
-        write_manifest(
-            [
-                (u, f"features/natural/{u}.cvf", f"features/synthetic/{u}.cvf")
-                for u in train_ids
-            ],
-            manifest_path,
-        )
+        pair_manifest(train_ids, dirs["natural"], dirs["synthetic"], manifest_path)
 
     with _stage("train"):
-        model, curve = fit(pair_dataset(manifest_path), train_config, work)
+        model, _ = fit(pair_dataset(manifest_path), train_config, work)
 
     test_sets = {
         "natural": [natural[u] for u in test_ids],
@@ -283,11 +290,9 @@ def run_end_to_end(wav_dir, work_dir, train_config=None, degrade_config=None):
         "work_dir": work,
         "model_path": work / "model.ckpt",
         "report_path": work / "report.txt",
-        "loss_curve": curve,
         "train_ids": train_ids,
         "test_ids": test_ids,
         "feature_dirs": dirs,
-        "plane": plane,
         **{
             f"mcd_{a}_{b}": float(plane.distances[plane.labels.index(a), plane.labels.index(b)])
             for a, b in HEADLINE

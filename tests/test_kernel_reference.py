@@ -42,7 +42,9 @@ def _pair(n):
 def _backward(model, net, cache, d_y, input_col=None):
     """The kernel's backward pass, its sums run and joined on the calling
     thread: (gradients, input gradient)."""
-    sums, d_x = core._net_backward(model, net, cache, d_y, None, input_col)
+    sums, d_x = core._net_backward(
+        model, net, cache, d_y, core._at_once, core._at_once, input_col
+    )
     return core._gradients(sums), d_x
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conftest import make_features, make_model, tiny_arch
 from cyclevc import acoustics, cli, pipeline
 from cyclevc.degrade import DegradeConfig
 from cyclevc.errors import ConfigError, InputError
+from cyclevc.evaluation import ROLES
 from cyclevc.features import N_DIMS, NormStats, read_features, write_features
 from cyclevc.model import CycleVCModel, save_checkpoint
 from cyclevc.pipeline import (
@@ -389,3 +391,26 @@ def test_step_by_step_cli_reproduces_the_end_to_end_artifacts(mini_runs, tmp_pat
             assert (tmp_path / rel).read_bytes() == (feats / rel).read_bytes(), rel
     rendered = (work / "wavs" / "enhanced" / "utt002.wav").read_bytes()
     assert (tmp_path / "wav" / "utt002.wav").read_bytes() == rendered
+
+    def copy(ids, roles, dest):
+        for role in roles:
+            (dest / role).mkdir(parents=True)
+            for u in ids:
+                shutil.copyfile(feats / role / f"{u}.cvf", dest / role / f"{u}.cvf")
+
+    # the training utterances, laid out as in the work dir
+    layout = tmp_path / "layout"
+    copy(summary["train_ids"], ("natural", "synthetic"), layout / "features")
+    manifest = layout / "train_manifest.tsv"
+    rc = cli.main([
+        "manifest", "--natural-dir", str(layout / "features" / "natural"),
+        "--synthetic-dir", str(layout / "features" / "synthetic"), "--out", str(manifest),
+    ])
+    assert rc == 0
+    assert manifest.read_bytes() == (work / "train_manifest.tsv").read_bytes()
+
+    held_out = tmp_path / "held_out"
+    copy(summary["test_ids"], ROLES, held_out)
+    run("plane", *[arg for role in ROLES for arg in (f"--{role}-dir", held_out / role)], out="maps")
+    for name in ("plane.tsv", "plane.svg"):
+        assert (tmp_path / "maps" / name).read_bytes() == (work / name).read_bytes(), name
