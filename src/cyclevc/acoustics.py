@@ -23,6 +23,12 @@ same arithmetic at any worker count, so the features do not depend on it.
 Synthesis excites pulse and noise sources, mixes them per aperiodicity band,
 and applies the envelope with FFT overlap-add, in the same blocks of frames
 as analysis.
+
+The signal primitives beneath both live here too and read the module's
+constants: a periodic Hann window, the all-pass frequency warp, the
+warped-cepstrum codec (log envelope on a uniform grid of the warped axis <->
+truncated cepstrum), pulse positions, a block YIN and a moving average. Their
+only callers are the analyzer, the synthesizer and `fixture`'s pulse train.
 """
 
 import os
@@ -30,14 +36,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import fft, ifft, irfft, next_fast_len, rfft, rfftfreq
+from scipy.fft import dct, fft, ifft, irfft, next_fast_len, rfft, rfftfreq
 
 from .errors import ConfigError, InputError, ShapeError
 from .features import (
     CAP_DB_FLOOR, CAP_DIM, CAP_SLICE, FRAME_SHIFT_MS, LF0_INDEX, MCEP_DIM, MCEP_SLICE, N_DIMS,
     UV_INDEX, UtteranceFeatures,
 )
-from .sigproc import WarpedCepstrumCodec, box_smooth, hann_periodic, pulse_positions, yin_periods
 
 FS = 24000
 HOP = FS * FRAME_SHIFT_MS // 1000  # 120 samples
@@ -47,9 +52,15 @@ MCEP_ALPHA = 0.466
 F0_FLOOR = 60.0
 F0_CEIL = 400.0
 DEFAULT_F0 = 120.0
+# a voiced frame's f0 lies in the YIN search band widened by 10 % each way
+VOICED_F0_MIN = F0_FLOOR * 0.9
+VOICED_F0_MAX = F0_CEIL * 1.1  # 440 Hz
 
 YIN_WINDOW = 480
+YIN_TAU_MIN = max(2, int(round(FS / F0_CEIL)))
 YIN_TAU_MAX = int(round(FS / F0_FLOOR))
+# a dip of the normalized difference below this marks a period candidate
+YIN_THRESHOLD = 0.15
 VOICING_DIP_MAX = 0.25
 SILENCE_RMS = 1e-4
 # a louder waveform overflows the squared analysis spectra, (peak * window)^2
@@ -85,6 +96,126 @@ SYN_FFT = 1024
 _SYN_SEED = 0x5F3C0DE
 # e^500 ~ 1.4e217 renders finite; c0 <= 0 with |c_k| <= 4 peaks at 2*4*44 = 352
 LOG_ENV_MAX = 500.0
+
+
+def hann_periodic(n):
+    """Periodic Hann window of length n (COLA at hop n/4)."""
+    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+
+
+def warp_frequency(omega, alpha):
+    """First-order all-pass frequency warp on [0, pi].
+
+    Monotone for |alpha| < 1, fixes 0 and pi; the inverse map is the same
+    function with -alpha.
+    """
+    omega = np.asarray(omega, dtype=np.float64)
+    return omega + 2.0 * np.arctan2(alpha * np.sin(omega), 1.0 - alpha * np.cos(omega))
+
+
+# The warped-cepstrum codec: a log envelope sampled at NODE_FREQ_HZ, GRID_SIZE + 1
+# uniform nodes of the warped axis over [0, pi], has as cepstrum its DCT-I truncated
+# to MCEP_DIM; reconstruction is the exact cosine expansion of that cepstrum, so an
+# envelope made from a cepstrum round-trips unchanged up to grid interpolation.
+GRID_SIZE = 512
+# linear-frequency position (Hz) of each warped grid node
+NODE_FREQ_HZ = warp_frequency(np.pi * np.arange(GRID_SIZE + 1) / GRID_SIZE, -MCEP_ALPHA) * FS / (2.0 * np.pi)
+
+
+def grid_cepstrum(on_grid):
+    """Truncated warped cepstra of log envelopes sampled at NODE_FREQ_HZ,
+    GRID_SIZE + 1 values along the last axis."""
+    c = dct(on_grid, type=1, axis=-1) / (2.0 * GRID_SIZE)
+    return c[..., :MCEP_DIM]
+
+
+def envelope_matrix(freqs_hz):
+    """(MCEP_DIM, len(freqs_hz)) matrix M: `cep @ M` is the log envelope of
+    cep at freqs_hz, linearly interpolated between warped grid nodes."""
+    omega = 2.0 * np.pi * np.asarray(freqs_hz, dtype=np.float64) / FS
+    pos = warp_frequency(omega, MCEP_ALPHA) / np.pi * GRID_SIZE
+    pos = np.clip(pos, 0.0, float(GRID_SIZE))
+    i0 = np.minimum(pos.astype(np.int64), GRID_SIZE - 1)
+    frac = (pos - i0)[:, None]
+    # row m is the cosine expansion at grid node m
+    m = np.arange(GRID_SIZE + 1)
+    recon = np.cos(np.outer(m, np.arange(MCEP_DIM)) * np.pi / GRID_SIZE)
+    recon[:, 1:] *= 2.0
+    return (recon[i0] * (1.0 - frac) + recon[i0 + 1] * frac).T
+
+
+def pulse_positions(f0):
+    """Sample indices of the pulses of a train whose frequency at sample i is
+    f0[i] Hz: one pulse each time the phase, started at 0.5, passes an integer."""
+    phase = np.cumsum(f0 / FS) + 0.5
+    return np.flatnonzero(np.diff(np.floor(np.concatenate([[0.0], phase]))) >= 1)
+
+
+def yin_periods(frames):
+    """YIN-style (f0, dip) for a block of frames, one per row.
+
+    Rows are cut to YIN_WINDOW + YIN_TAU_MAX samples; the integration window is
+    YIN_WINDOW and the lag search band YIN_TAU_MIN..YIN_TAU_MAX. f0 is in Hz, 0.0
+    when no usable periodicity; dip is the minimum of the cumulative-mean-
+    normalized difference (1.0 = none), small when the periodicity is strong.
+    """
+    need = YIN_WINDOW + YIN_TAU_MAX
+    x = np.asarray(frames, dtype=np.float64)[:, :need]
+    rows = np.arange(len(x))
+
+    sq = np.zeros((len(x), need + 1))
+    np.cumsum(x * x, axis=1, out=sq[:, 1:])
+    pow0 = sq[:, YIN_WINDOW]
+    pow_tau = sq[:, YIN_WINDOW : need + 1] - sq[:, : YIN_TAU_MAX + 1]
+    # c[tau] = sum_j x[tau + j] x[j], j < W: tau + j < need, so a circular
+    # correlation of length >= need has no wrap-around
+    nfft = next_fast_len(need, real=True)
+    spec = rfft(x, nfft, axis=1) * np.conj(rfft(x[:, :YIN_WINDOW], nfft, axis=1))
+    c = irfft(spec, nfft, axis=1)[:, : YIN_TAU_MAX + 1]
+    d = np.maximum(pow0[:, None] + pow_tau - 2.0 * c, 0.0)
+
+    # cumulative-mean normalization
+    dn = np.ones_like(d)
+    csum = np.cumsum(d[:, 1:], axis=1)
+    taus = np.arange(1, YIN_TAU_MAX + 1, dtype=np.float64)
+    np.divide(d[:, 1:] * taus, csum, out=dn[:, 1:], where=csum > 0)
+
+    # first dip below the threshold, then downhill to its local minimum;
+    # with no dip below it, the global minimum of the search band
+    band = dn[:, YIN_TAU_MIN : YIN_TAU_MAX + 1]
+    below = band < YIN_THRESHOLD
+    first = np.argmax(below, axis=1)
+    stops = np.ones(band.shape, dtype=bool)
+    stops[:, :-1] = band[:, 1:] >= band[:, :-1]
+    stops &= np.arange(band.shape[1]) >= first[:, None]
+    tau = YIN_TAU_MIN + np.where(below.any(axis=1), np.argmax(stops, axis=1), np.argmin(band, axis=1))
+    dip = dn[rows, tau]
+
+    # parabolic refinement on the raw difference function (tau >= 2)
+    inner = tau < YIN_TAU_MAX
+    a = d[rows, tau - 1]
+    b = d[rows, tau]
+    cc = d[rows, np.minimum(tau + 1, YIN_TAU_MAX)]
+    denom = a - 2.0 * b + cc
+    shift = np.zeros(len(x))
+    np.divide(0.5 * (a - cc), denom, out=shift, where=inner & (np.abs(denom) > 1e-12))
+    period = tau + np.clip(shift, -1.0, 1.0)
+
+    silent = pow0 < 1e-14
+    return np.where(silent, 0.0, FS / period), np.where(silent, 1.0, dip)
+
+
+def box_smooth(values, half_width):
+    """Moving average with window (2*half_width + 1), edge-shrunk at borders,
+    along the last axis."""
+    v = np.asarray(values, dtype=np.float64)
+    n = v.shape[-1]
+    c = np.zeros(v.shape[:-1] + (n + 1,))
+    np.cumsum(v, axis=-1, out=c[..., 1:])
+    idx = np.arange(n)
+    lo = np.maximum(idx - half_width, 0)
+    hi = np.minimum(idx + half_width + 1, n)
+    return (c[..., hi] - c[..., lo]) / (hi - lo)
 
 
 def _interp_lf0(f0, voiced):
@@ -125,15 +256,14 @@ def _probe(wx, f0, count):
     return mag[:, 1::2], mag[:, 0::2]
 
 
-_CODEC = WarpedCepstrumCodec(FS, order=MCEP_DIM, alpha=MCEP_ALPHA)
 # the codec's grid nodes as fractional bins of the unvoiced spectrum
-_UV_GRID_POS = (_CODEC.node_freq_hz * (UNVOICED_FFT / FS))[None, :]
+_UV_GRID_POS = (NODE_FREQ_HZ * (UNVOICED_FFT / FS))[None, :]
 _UV_HANN = np.hanning(UNVOICED_WINDOW)
 # unit-noise amplitude that makes the unvoiced round trip level-consistent
 _UV_NOISE_SIGMA = _UV_HANN.sum() / (2.0 * np.sqrt(np.sum(_UV_HANN * _UV_HANN)))
 _SYN_HANN = hann_periodic(SYN_WINDOW)
 _SYN_FREQS = rfftfreq(SYN_FFT, 1.0 / FS)
-_SYN_ENVELOPE = _CODEC.envelope_matrix(_SYN_FREQS)
+_SYN_ENVELOPE = envelope_matrix(_SYN_FREQS)
 _SYN_BAND_OF_BIN = np.searchsorted(CAP_EDGES, _SYN_FREQS, side="right")
 
 
@@ -189,8 +319,8 @@ def _analyze_block(padded, n, lo):
     loud = rms > SILENCE_RMS
     f0, dip = np.zeros(rms.size), np.ones(rms.size)  # a quiet frame keeps dip 1, so is unvoiced
     if loud.any():
-        f0[loud], dip[loud] = yin_periods(yin_frames[loud], FS, F0_FLOOR, F0_CEIL, YIN_WINDOW)
-    voiced = (dip < VOICING_DIP_MAX) & (f0 >= F0_FLOOR * 0.9) & (f0 <= F0_CEIL * 1.1)
+        f0[loud], dip[loud] = yin_periods(yin_frames[loud])
+    voiced = (dip < VOICING_DIP_MAX) & (f0 >= VOICED_F0_MIN) & (f0 <= VOICED_F0_MAX)
     frames = np.zeros((rms.size, N_DIMS))
     if not voiced.all():
         uv_frames = _frames(padded, n, UNVOICED_WINDOW // 2, UNVOICED_WINDOW)[block]
@@ -206,7 +336,7 @@ def _analyze_block(padded, n, lo):
 def _voiced_envelopes(padded, n, idx, f0):
     """Cepstra and band aperiodicities of the voiced frames idx of the n
     frames of padded, with fundamentals f0, one row each, from one probe pass."""
-    # no lower clamp: a voiced f0 is at most 1.1 * F0_CEIL = 440 Hz, so w_len >= 219
+    # no lower clamp: a voiced f0 is at most VOICED_F0_MAX, so w_len >= 219
     w_len = np.minimum(np.round(ENV_PERIODS * FS / f0).astype(np.int64) | 1, ENV_WINDOW_MAX)
     width = w_len.max()
     # np.hanning(w_len) of each row, centred in the row (a shift changes no
@@ -217,7 +347,7 @@ def _voiced_envelopes(padded, n, idx, f0):
     wx = _frames(padded, n, width // 2, width)[idx] * win
     gain = 2.0 / win.sum(axis=1, keepdims=True)
 
-    # a voiced f0 is at most 1.1 * F0_CEIL = 440 Hz, so n_harm >= 26
+    # a voiced f0 is at most VOICED_F0_MAX, so n_harm >= 26
     n_harm = ((NYQUIST - 0.6 * f0) // f0).astype(np.int64)
     harm = np.arange(1, n_harm.max() + 1)
     valid = harm <= n_harm[:, None]
@@ -236,8 +366,8 @@ def _voiced_envelopes(padded, n, idx, f0):
     log_h = 0.25 * edged[:, :-2] + 0.5 * edged[:, 1:-1] + 0.25 * edged[:, 2:]
     # grid node at harmonic position h (log_h column h - 1), held flat below
     # the first harmonic and above the last
-    pos = np.clip(_CODEC.node_freq_hz / f0[:, None] - 1.0, 0.0, (n_harm - 1)[:, None])
-    cep = _CODEC.grid_cepstrum(_lerp_columns(log_h, pos))
+    pos = np.clip(NODE_FREQ_HZ / f0[:, None] - 1.0, 0.0, (n_harm - 1)[:, None])
+    cep = grid_cepstrum(_lerp_columns(log_h, pos))
 
     freqs = harm * f0[:, None]
     hp = _band_sums(freqs, amps**2)
@@ -272,7 +402,7 @@ def _unvoiced_envelopes(segs):
     amp = 2.0 * np.sqrt(power) / _UV_HANN.sum()
     floor = np.maximum(amp.max(axis=1) * AMP_RANGE, AMP_FLOOR)
     log_amp = np.log(np.maximum(amp, floor[:, None]))
-    return _CODEC.grid_cepstrum(_lerp_columns(log_amp, _UV_GRID_POS))
+    return grid_cepstrum(_lerp_columns(log_amp, _UV_GRID_POS))
 
 
 def synthesize(feat, fs):
@@ -298,7 +428,7 @@ def synthesize(feat, fs):
     run_ends = np.flatnonzero(np.diff(np.concatenate([uv_samp.view(np.int8), [0]])) == -1)
     for s, e in zip(run_starts, run_ends):
         f0_run = f0_samp[s : e + 1]
-        hits = pulse_positions(f0_run, FS)
+        hits = pulse_positions(f0_run)
         pulses[pad + s + hits] = FS / (2.0 * f0_run[hits])
 
     rng = np.random.Generator(np.random.PCG64(_SYN_SEED))

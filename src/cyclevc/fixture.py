@@ -14,9 +14,8 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg.blas import dtbsv
 
-from .acoustics import FS
+from .acoustics import FS, pulse_positions
 from .errors import check
-from .sigproc import pulse_positions
 from .wavio import write_wav
 
 # formant presets: (F1, F2, F3, F4) in Hz
@@ -59,10 +58,10 @@ def _all_pole(gain, feedback, x):
     return dtbsv(order, band[:, :n], gain * x, lower=1, diag=1, overwrite_x=1)
 
 
-def _resonator(x, freq, bw, fs):
+def _resonator(x, freq, bw):
     """Two-pole resonance with roughly unity peak gain."""
-    r = np.exp(-np.pi * bw / fs)
-    theta = 2.0 * np.pi * freq / fs
+    r = np.exp(-np.pi * bw / FS)
+    theta = 2.0 * np.pi * freq / FS
     gain = (1.0 - r) * np.sqrt(1.0 - 2.0 * r * np.cos(2.0 * theta) + r * r)
     return _all_pole(gain, (-2.0 * r * np.cos(theta), r * r), x)
 
@@ -78,9 +77,9 @@ def _faded(amp, x):
     return x
 
 
-def _glottal_pulses(n, f0_track, fs):
+def _glottal_pulses(n, f0_track):
     exc = np.zeros(n)
-    exc[pulse_positions(f0_track, fs)] = 1.0
+    exc[pulse_positions(f0_track)] = 1.0
     # -6 dB/octave tilt so the source resembles a glottal flow derivative
     return _all_pole(1.0, (-0.94,), exc)
 
@@ -89,17 +88,17 @@ def _vowel(rng, vowel, dur, f0_start, f0_end):
     n = int(dur * FS)
     vib = 1.0 + 0.02 * np.sin(2.0 * np.pi * 5.3 * np.arange(n) / FS)
     f0 = np.linspace(f0_start, f0_end, n) * vib
-    x = _glottal_pulses(n, f0, FS)
+    x = _glottal_pulses(n, f0)
     x += 0.003 * rng.standard_normal(n)  # breath noise
     for freq, bw in zip(VOWELS[vowel], FORMANT_BW):
-        x = _resonator(x, freq, bw, FS)
+        x = _resonator(x, freq, bw)
     return _faded(VOWEL_AMP, x)
 
 
 def _fricative(rng, dur):
     n = int(dur * FS)
     x = rng.standard_normal(n)
-    x = _resonator(x, 5200.0, 1800.0, FS) + 0.4 * _resonator(x, 7800.0, 2500.0, FS)
+    x = _resonator(x, 5200.0, 1800.0) + 0.4 * _resonator(x, 7800.0, 2500.0)
     return _faded(FRIC_AMP, x)
 
 

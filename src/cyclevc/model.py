@@ -604,6 +604,8 @@ def load_checkpoint(path):
         if "=" not in line:
             raise FormatError(f"checkpoint header line {lineno} is not key=value: {line!r}")
         key, _, value = line.partition("=")
+        if key in fields:
+            raise FormatError(f"checkpoint header repeats field {key!r} (line {lineno})")
         fields[key] = value
     if fields.get("format") != CHECKPOINT_FORMAT:
         raise FormatError(f"unsupported checkpoint format {fields.get('format')!r}")

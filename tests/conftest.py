@@ -90,6 +90,14 @@ def write_non_finite_checkpoint(path):
     path.write_bytes(raw[:blob] + np.float32(np.nan).tobytes() + raw[blob + 4 :])
 
 
+def write_checkpoint_repeating(path, line):
+    """A well-formed tiny checkpoint whose header ends with the extra `line`."""
+    save_checkpoint(make_model(seed=1), path)
+    raw = path.read_bytes()
+    sep = raw.find(b"\n\n")
+    path.write_bytes(raw[:sep] + b"\n" + line.encode("utf-8") + raw[sep:])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

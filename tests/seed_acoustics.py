@@ -28,8 +28,10 @@ from cyclevc.acoustics import (
     F0_CEIL,
     F0_FLOOR,
     FS,
+    GRID_SIZE,
     HOP,
     MCEP_ALPHA,
+    NODE_FREQ_HZ,
     NYQUIST,
     SILENCE_RMS,
     SMOOTH_HALF_BINS,
@@ -46,10 +48,11 @@ from cyclevc.acoustics import (
     _SYN_SEED,
     _UV_NOISE_SIGMA,
     _interp_lf0,
+    grid_cepstrum,
+    warp_frequency,
 )
 from cyclevc.errors import ConfigError
 from cyclevc.features import CAP_DIM, MCEP_DIM, UtteranceFeatures
-from cyclevc.sigproc import WarpedCepstrumCodec, warp_frequency
 
 # the reference's own lower clamp of the voiced window length; the current
 # analyzer has none, since a voiced f0 of at most 440 Hz never reaches it
@@ -133,7 +136,6 @@ class SeedAnalyzer:
     """The original harmonic-probe analyzer, one frame at a time."""
 
     def __init__(self):
-        self.codec = WarpedCepstrumCodec(FS, order=MCEP_DIM, alpha=MCEP_ALPHA)
         self._uv_freqs = rfftfreq(UNVOICED_FFT, 1.0 / FS)
         self._uv_window = np.hanning(UNVOICED_WINDOW)
 
@@ -196,7 +198,7 @@ class SeedAnalyzer:
         freqs = np.arange(1, n_harm + 1) * f0
         xp = np.concatenate([[0.0], freqs, [NYQUIST]])
         fp = np.concatenate([[log_h[0]], log_h, [log_h[-1]]])
-        cep = self.codec.grid_cepstrum(np.interp(self.codec.node_freq_hz, xp, fp))
+        cep = grid_cepstrum(np.interp(NODE_FREQ_HZ, xp, fp))
 
         inter_freqs = (np.arange(1, n_harm + 1) - 0.5) * f0
         cap = np.zeros(CAP_DIM)
@@ -215,13 +217,12 @@ class SeedAnalyzer:
         amp = 2.0 * np.sqrt(power) / self._uv_window.sum()
         floor = max(amp.max() * AMP_RANGE, AMP_FLOOR)
         log_amp = np.log(np.maximum(amp, floor))
-        return self.codec.grid_cepstrum(np.interp(self.codec.node_freq_hz, self._uv_freqs, log_amp))
+        return grid_cepstrum(np.interp(NODE_FREQ_HZ, self._uv_freqs, log_amp))
 
 
 # ----- synthesis ----------------------------------------------------------------
 
-_GRID = WarpedCepstrumCodec.GRID_SIZE
-_RECON = np.cos(np.outer(np.arange(_GRID + 1.0), np.arange(MCEP_DIM + 0.0)) * np.pi / _GRID)
+_RECON = np.cos(np.outer(np.arange(GRID_SIZE + 1.0), np.arange(MCEP_DIM + 0.0)) * np.pi / GRID_SIZE)
 _RECON[:, 1:] *= 2.0
 
 
@@ -229,9 +230,9 @@ def _sampler(freqs_hz):
     """Interpolation (indices, weights) for evaluating grid envelopes at the
     given linear frequencies."""
     omega = 2.0 * np.pi * np.asarray(freqs_hz, dtype=np.float64) / FS
-    pos = warp_frequency(omega, MCEP_ALPHA) / np.pi * _GRID
-    pos = np.clip(pos, 0.0, float(_GRID))
-    i0 = np.minimum(pos.astype(np.int64), _GRID - 1)
+    pos = warp_frequency(omega, MCEP_ALPHA) / np.pi * GRID_SIZE
+    pos = np.clip(pos, 0.0, float(GRID_SIZE))
+    i0 = np.minimum(pos.astype(np.int64), GRID_SIZE - 1)
     frac = pos - i0
     return i0, frac
 

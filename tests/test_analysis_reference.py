@@ -26,9 +26,9 @@ from cyclevc.acoustics import (
     YIN_TAU_MAX,
     YIN_WINDOW,
     analyze,
+    yin_periods,
 )
 from cyclevc.fixture import make_corpus
-from cyclevc.sigproc import yin_periods
 from cyclevc.wavio import read_wav
 
 LF0_ATOL = 1e-6
@@ -164,7 +164,7 @@ def test_block_yin_matches_the_seed_per_frame_yin():
             0.3 * np.sign(np.sin(2.0 * np.pi * 95.0 * t)),
         ]
     )
-    f0, dip = yin_periods(rows, FS, F0_FLOOR, F0_CEIL, YIN_WINDOW)
+    f0, dip = yin_periods(rows)
     for row, got_f0, got_dip in zip(rows, f0, dip):
         ref_f0, ref_dip = seed_acoustics.yin_period(row, FS, F0_FLOOR, F0_CEIL, YIN_WINDOW)
         assert got_f0 == pytest.approx(ref_f0, rel=1e-9, abs=1e-12)

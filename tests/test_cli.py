@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import write_non_finite_checkpoint
+from conftest import write_checkpoint_repeating, write_non_finite_checkpoint
 from cyclevc import cli
 from cyclevc.degrade import DegradeConfig
 from cyclevc.errors import TrainingError
@@ -91,11 +91,10 @@ def test_wrong_sample_rate_is_exit_one(tmp_path, capsys):
     assert "sampled at 16000 Hz" in capsys.readouterr().err
 
 
-def test_enhance_with_a_non_finite_checkpoint_is_exit_one(tmp_path, capsys):
-    model = tmp_path / "m.ckpt"
-    write_non_finite_checkpoint(model)
+def _enhance_exit_code(tmp_path, model):
+    """`cyclevc enhance` with `model` on an empty features directory."""
     (tmp_path / "feats").mkdir()
-    rc = cli.main(
+    return cli.main(
         [
             "enhance",
             "--model",
@@ -106,8 +105,20 @@ def test_enhance_with_a_non_finite_checkpoint_is_exit_one(tmp_path, capsys):
             str(tmp_path / "out"),
         ]
     )
-    assert rc == 1
+
+
+def test_enhance_with_a_non_finite_checkpoint_is_exit_one(tmp_path, capsys):
+    model = tmp_path / "m.ckpt"
+    write_non_finite_checkpoint(model)
+    assert _enhance_exit_code(tmp_path, model) == 1
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_enhance_with_a_checkpoint_repeating_a_header_field_is_exit_one(tmp_path, capsys):
+    model = tmp_path / "m.ckpt"
+    write_checkpoint_repeating(model, "format=cyclevc-checkpoint-v1")
+    assert _enhance_exit_code(tmp_path, model) == 1
+    assert "repeats field 'format'" in capsys.readouterr().err
 
 
 def test_internal_failures_are_exit_two(tmp_path, capsys, monkeypatch):

@@ -8,7 +8,7 @@ import types
 import numpy as np
 import pytest
 
-from conftest import make_model, tiny_arch, write_non_finite_checkpoint
+from conftest import make_model, tiny_arch, write_checkpoint_repeating, write_non_finite_checkpoint
 from cyclevc.errors import ConfigError, FormatError, InputError, PairingError, ShapeError
 from cyclevc.features import N_DIMS, NormStats
 from cyclevc.model import (
@@ -434,6 +434,20 @@ def test_checkpoint_with_non_key_value_line_is_rejected(tmp_path):
     header, blob = _split_checkpoint(path)
     _write_checkpoint(path, header + "\nstray line", blob)
     with pytest.raises(FormatError, match="not key=value"):
+        load_checkpoint(path)
+
+
+# each repeat is a valid line, so a loader that let the last line win would
+# load the file: with src_std 2.0 in the first case
+@pytest.mark.parametrize(
+    "key, value",
+    [("src_std", " ".join(["2.0"] * N_DIMS)), ("format", "cyclevc-checkpoint-v1")],
+    ids=["src_std", "format"],
+)
+def test_checkpoint_header_repeating_a_field_is_rejected(tmp_path, key, value):
+    path = tmp_path / "m.ckpt"
+    write_checkpoint_repeating(path, f"{key}={value}")
+    with pytest.raises(FormatError, match=f"repeats field '{key}'"):
         load_checkpoint(path)
 
 

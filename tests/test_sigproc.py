@@ -1,20 +1,21 @@
-"""Oracles for the signal-processing primitives."""
+"""Oracles for the signal-processing primitives, which live in `cyclevc.acoustics`."""
 
 import numpy as np
 import pytest
 
 from conftest import probe_amplitudes
-from cyclevc.acoustics import MCEP_ALPHA
-from cyclevc.features import MCEP_DIM
-from cyclevc.sigproc import (
-    WarpedCepstrumCodec,
+from cyclevc.acoustics import (
+    FS,
+    MCEP_ALPHA,
+    NODE_FREQ_HZ,
     box_smooth,
+    envelope_matrix,
+    grid_cepstrum,
     hann_periodic,
+    pulse_positions,
     warp_frequency,
     yin_periods,
 )
-
-FS = 24000
 
 
 # ----- frequency warp -------------------------------------------------------
@@ -48,16 +49,15 @@ def test_negated_alpha_inverts_the_warp():
 # ----- warped-cepstrum codec -------------------------------------------------
 
 
-def _cepstrum(codec, freqs_hz, log_env):
+def _cepstrum(freqs_hz, log_env):
     """Cepstrum of a log envelope sampled at sorted freqs_hz, interpolated
     onto the codec's grid as the analyzer does."""
-    return codec.grid_cepstrum(np.interp(codec.node_freq_hz, freqs_hz, log_env))
+    return grid_cepstrum(np.interp(NODE_FREQ_HZ, freqs_hz, log_env))
 
 
 def test_constant_envelope_yields_dc_only_cepstrum():
-    codec = WarpedCepstrumCodec(FS, MCEP_DIM, MCEP_ALPHA)
     freqs = np.linspace(0.0, FS / 2.0, 300)
-    cep = _cepstrum(codec, freqs, np.full(300, 1.7))
+    cep = _cepstrum(freqs, np.full(300, 1.7))
     assert cep[0] == pytest.approx(1.7, abs=1e-12)
     assert np.max(np.abs(cep[1:])) < 1e-12
 
@@ -66,11 +66,10 @@ def test_cosine_envelope_coefficients_are_recovered():
     # envelope built from the codec's own basis must come back as its
     # coefficients; reconstruction doubles the k >= 1 cosines, so an envelope
     # term a*cos(k w~) corresponds to coefficient a/2
-    codec = WarpedCepstrumCodec(FS, MCEP_DIM, MCEP_ALPHA)
     freqs = np.linspace(0.0, FS / 2.0, 6000)
-    omega_warped = warp_frequency(2.0 * np.pi * freqs / FS, codec.alpha)
+    omega_warped = warp_frequency(2.0 * np.pi * freqs / FS, MCEP_ALPHA)
     log_env = 0.3 + 0.8 * np.cos(omega_warped) - 0.25 * np.cos(5.0 * omega_warped)
-    cep = _cepstrum(codec, freqs, log_env)
+    cep = _cepstrum(freqs, log_env)
     expected = np.zeros(45)
     expected[0] = 0.3
     expected[1] = 0.4
@@ -79,10 +78,8 @@ def test_cosine_envelope_coefficients_are_recovered():
 
 
 def test_grid_envelope_round_trips_a_truncated_cepstrum(rng):
-    codec = WarpedCepstrumCodec(FS, MCEP_DIM, MCEP_ALPHA)
     cep = rng.normal(0.0, 0.3, size=45)
-    nodes = codec.node_freq_hz
-    back = codec.grid_cepstrum(cep @ codec.envelope_matrix(nodes))
+    back = grid_cepstrum(cep @ envelope_matrix(NODE_FREQ_HZ))
     assert np.allclose(back, cep, atol=1e-10)
 
 
@@ -101,11 +98,29 @@ def test_periodic_hann_overlap_adds_to_a_constant():
     assert np.allclose(interior, 2.0, atol=1e-12)
 
 
+# ----- pulse trains ------------------------------------------------------------
+
+
+def test_pulse_train_at_a_fixed_rate_starts_half_a_period_in():
+    # 375 Hz is FS / 64, so every phase increment and sum is exact
+    assert np.array_equal(pulse_positions(np.full(640, 375.0)), np.arange(31, 640, 64))
+
+
+def test_pulse_train_gaps_follow_the_rate_on_each_side_of_a_switch():
+    # FS / 375 = 64 and FS / 750 = 32 samples per period; the phase carries
+    # over the switch at sample 320, half a slow period past the pulse at 287
+    f0 = np.r_[np.full(320, 375.0), np.full(320, 750.0)]
+    hits = pulse_positions(f0)
+    assert np.array_equal(np.diff(hits[hits < 320]), np.full(4, 64))
+    assert np.array_equal(np.diff(hits[hits >= 320]), np.full(9, 32))
+    assert np.array_equal(hits, np.r_[31:320:64, 335:640:32])
+
+
 # ----- period estimation -------------------------------------------------------
 
 
 def _yin_one_row(x):
-    f0, dip = yin_periods(x[None, :], FS, fmin=60.0, fmax=400.0, integration=480)
+    f0, dip = yin_periods(x[None, :])
     return f0[0], dip[0]
 
 
