@@ -318,13 +318,11 @@ def _analyze_block(padded, n, lo):
     rms = np.sqrt(np.mean(yin_frames[:, :YIN_WINDOW] ** 2, axis=1))
     loud = rms > SILENCE_RMS
     f0, dip = np.zeros(rms.size), np.ones(rms.size)  # a quiet frame keeps dip 1, so is unvoiced
-    if loud.any():
-        f0[loud], dip[loud] = yin_periods(yin_frames[loud])
+    f0[loud], dip[loud] = yin_periods(yin_frames[loud])
     voiced = (dip < VOICING_DIP_MAX) & (f0 >= VOICED_F0_MIN) & (f0 <= VOICED_F0_MAX)
     frames = np.zeros((rms.size, N_DIMS))
-    if not voiced.all():
-        uv_frames = _frames(padded, n, UNVOICED_WINDOW // 2, UNVOICED_WINDOW)[block]
-        frames[~voiced, MCEP_SLICE] = _unvoiced_envelopes(uv_frames[~voiced])
+    uv_frames = _frames(padded, n, UNVOICED_WINDOW // 2, UNVOICED_WINDOW)[block]
+    frames[~voiced, MCEP_SLICE] = _unvoiced_envelopes(uv_frames[~voiced])
     voiced_rows = np.flatnonzero(voiced)
     for sub in range(0, voiced_rows.size, PROBE_ROWS):
         rows = voiced_rows[sub : sub + PROBE_ROWS]

@@ -103,7 +103,7 @@ def _build_parser():
 
 
 def _read_config_file(path):
-    values = {}
+    values, first_line = {}, {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -115,7 +115,13 @@ def _read_config_file(path):
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
         key, _, value = stripped.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key in first_line:
+            raise ConfigError(
+                f"{path}:{lineno}: repeats key {key!r} (first set on line {first_line[key]})"
+            )
+        first_line[key] = lineno
+        values[key] = value.strip()
     return values
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, PairingError, ShapeError
-from .features import MCEP_DIM, align_frames, write_atomic
+from .features import align_frames, write_atomic
 
 MCD_COEF = 10.0 * np.sqrt(2.0) / np.log(10.0)
 
@@ -29,15 +29,6 @@ def _mcd_rows(a, b):
     """Per-row MCD in dB between two (n, 45) mel-cepstral matrices."""
     diff = np.asarray(a, dtype=np.float64)[:, 1:] - np.asarray(b, dtype=np.float64)[:, 1:]
     return MCD_COEF * np.sqrt(np.sum(diff * diff, axis=1))
-
-
-def mcd_frame(c_a, c_b):
-    """MCD in dB between two 45-dim mel-cepstral frames (dim 0 excluded)."""
-    a = np.asarray(c_a, dtype=np.float64)
-    b = np.asarray(c_b, dtype=np.float64)
-    if a.shape != (MCEP_DIM,) or b.shape != (MCEP_DIM,):
-        raise ShapeError(f"mcd_frame expects ({MCEP_DIM},) vectors, got {a.shape} and {b.shape}")
-    return float(_mcd_rows(a[None], b[None])[0])
 
 
 def mcd_utterance(feat_a, feat_b):

@@ -26,21 +26,14 @@ weight (rows x d) @ (d x B) block. Conversion runs it with B = 1. A
 training step runs g(Y) at B = 1 and then both f terms as the two columns
 of one B = 2 pass over [X, splice(g(Y), Y)], and backward the same way:
 four frame loops per step instead of six. `loss_gradients` alone places
-the weight-gradient sums: once f's reverse loop ends, one helper thread
-runs all of f's sums while the calling thread runs g's backward pass, which
-needs none of them; the helper then runs g's Ug and output-conv sums while
-the calling thread runs g's Wg and input-conv sums. NumPy's BLAS calls and
-large copies release the interpreter lock, which lets the two overlap. With
-one usable CPU every sum runs on the calling thread. Each sum runs whole on
-one thread, its fixed blocks in order, so no gradient byte depends on which
-thread ran it or when.
+the weight-gradient sums on threads; its docstring gives the placement.
 """
 
 import dataclasses
 import math
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -109,7 +102,7 @@ class CycleVCModel:
     params: dict
     norm_src: NormStats
     norm_tgt: NormStats
-    dtype: np.dtype = np.float32
+    dtype = property(lambda self: next(iter(self.params.values())).dtype)
 
     @classmethod
     def init(cls, arch, norm_src, norm_tgt, seed, dtype=np.float32):
@@ -120,7 +113,7 @@ class CycleVCModel:
             if len(shape) == 2:  # a weight; the bias declared next shares its fan-in
                 bound = 1.0 / np.sqrt(shape[1])
             params[name] = rng.uniform(-bound, bound, size=shape).astype(dtype)
-        return cls(arch=arch, params=params, norm_src=norm_src, norm_tgt=norm_tgt, dtype=dtype)
+        return cls(arch=arch, params=params, norm_src=norm_src, norm_tgt=norm_tgt)
 
     @property
     def n_parameters(self):
@@ -500,10 +493,7 @@ class LossBreakdown:
     stot_l1: float
     cycle_l1: float
     rho: float
-    total: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "total", self.stot_l1 + self.rho * self.cycle_l1)
+    total = property(lambda self: self.stot_l1 + self.rho * self.cycle_l1)
 
 
 def loss_gradients(model, x_norm, y_norm, rho=RHO_DEFAULT, teacher_forcing=False):
@@ -516,11 +506,18 @@ def loss_gradients(model, x_norm, y_norm, rho=RHO_DEFAULT, teacher_forcing=False
     One backward pass of f over both columns, the cycle column pre-scaled by
     rho, sums the two f terms' weight gradients; the gradient w.r.t. the
     cycle column's input then runs back through g at every rho: at rho = 0
-    g's gradients are zeros, so Adam leaves g unchanged. A one-worker pool,
-    open for this call only, runs all of f's sums during g's backward pass
-    and g's loop sums beside g's chain sums; every sum is joined before the
-    call returns. With one usable CPU the sums run on the calling thread
-    instead.
+    g's gradients are zeros, so Adam leaves g unchanged.
+
+    Once f's reverse loop ends, a one-worker pool, open for this call only,
+    runs all of f's weight-gradient sums while the calling thread runs g's
+    backward pass, which needs none of them; the helper then runs g's loop
+    sums (Ug and the output convs) while the calling thread runs g's chain
+    sums (Wg and the input convs). NumPy's BLAS calls and large copies
+    release the interpreter lock, which lets the two overlap. Every sum is
+    joined before the call returns. With one usable CPU every sum runs on
+    the calling thread instead. Each sum runs whole on one thread, its fixed
+    blocks in order, so no gradient byte depends on which thread ran it or
+    when.
     """
     x = _validate_seq(x_norm, model.arch.in_dim, "source sequence")
     y = _validate_seq(y_norm, model.arch.in_dim, "target sequence")

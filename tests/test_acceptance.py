@@ -38,7 +38,7 @@ from conftest import make_features, unit_norms
 
 from cyclevc import acoustics
 from cyclevc.degrade import DegradeConfig
-from cyclevc.evaluation import MCD_COEF, embed_distances, mcd_frame
+from cyclevc.evaluation import MCD_COEF, _mcd_rows, embed_distances
 from cyclevc.features import MCEP_DIM, read_features, write_features
 from cyclevc.fixture import make_corpus
 from cyclevc.model import (
@@ -324,36 +324,34 @@ def test_single_pair_overfit_reaches_a_tenth_within_200_steps():
 
 
 def test_mcd_identity_unit_and_energy_exclusion(rng):
-    frame = rng.normal(size=MCEP_DIM)
-    assert mcd_frame(frame, frame) == 0.0
+    frame = rng.normal(size=(1, MCEP_DIM))
+    assert _mcd_rows(frame, frame)[0] == 0.0
 
-    zero = np.zeros(MCEP_DIM)
-    for dim in (1, 17, 44):
-        unit = zero.copy()
-        unit[dim] = 1.0
-        assert abs(mcd_frame(zero, unit) - 6.1419) < 1e-4
-        assert mcd_frame(zero, unit) == MCD_COEF
+    zero = np.zeros((3, MCEP_DIM))
+    unit = zero.copy()
+    unit[range(3), (1, 17, 44)] = 1.0
+    d = _mcd_rows(zero, unit)
+    assert np.all(np.abs(d - 6.1419) < 1e-4)
+    assert np.all(d == MCD_COEF)
 
     bumped = frame.copy()
-    bumped[31] += 1.0  # float noise of (a + 1) - a stays far below 1e-4 dB
-    assert abs(mcd_frame(frame, bumped) - 6.1419) < 1e-4
+    bumped[0, 31] += 1.0  # float noise of (a + 1) - a stays far below 1e-4 dB
+    assert abs(_mcd_rows(frame, bumped)[0] - 6.1419) < 1e-4
 
     energy_only = frame.copy()
-    energy_only[0] += 100.0
-    assert mcd_frame(frame, energy_only) == 0.0
+    energy_only[0, 0] += 100.0
+    assert _mcd_rows(frame, energy_only)[0] == 0.0
 
 
 def test_mcd_is_a_pseudometric_on_random_triples(rng):
-    for _ in range(1000):
-        a, b, c = rng.normal(scale=2.0, size=(3, MCEP_DIM))
-        d_ab = mcd_frame(a, b)
-        d_ba = mcd_frame(b, a)
-        d_bc = mcd_frame(b, c)
-        d_ac = mcd_frame(a, c)
-        assert d_ab >= 0.0
-        assert d_ab == d_ba
-        assert mcd_frame(a, a) == 0.0
-        assert d_ac <= d_ab + d_bc + 1e-9
+    a, b, c = rng.normal(scale=2.0, size=(1000, 3, MCEP_DIM)).transpose(1, 0, 2)
+    d_ab = _mcd_rows(a, b)
+    d_bc = _mcd_rows(b, c)
+    d_ac = _mcd_rows(a, c)
+    assert np.all(d_ab >= 0.0)
+    assert np.array_equal(d_ab, _mcd_rows(b, a))
+    assert np.all(_mcd_rows(a, a) == 0.0)
+    assert np.all(d_ac <= d_ab + d_bc + 1e-9)
 
 
 # 6. planar embedding --------------------------------------------------------
@@ -442,6 +440,5 @@ def test_vocoder_round_trip_keeps_voiced_distortion_low(corpus_dir):
         n = min(first.n_frames, second.n_frames)
         both_voiced = (first.uv[:n] > 0.5) & (second.uv[:n] > 0.5)
         assert both_voiced.sum() >= 20
-        for t in np.flatnonzero(both_voiced):
-            per_frame.append(mcd_frame(first.mcep[t], second.mcep[t]))
+        per_frame.extend(_mcd_rows(first.mcep[:n][both_voiced], second.mcep[:n][both_voiced]))
     assert np.mean(per_frame) < 1.5

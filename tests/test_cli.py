@@ -59,12 +59,17 @@ def test_help_returns_zero(capsys):
     assert "usage:" in capsys.readouterr().out
 
 
-def test_bad_input_is_exit_one(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command, option, message",
+    [("extract", "--wav-dir", "no WAV files"), ("synth", "--features-dir", "no feature files (*.cvf)")],
+    ids=["extract", "synth"],
+)
+def test_bad_input_is_exit_one(tmp_path, capsys, command, option, message):
     empty = tmp_path / "empty"
     empty.mkdir()
-    rc = cli.main(["extract", "--wav-dir", str(empty), "--out-dir", str(tmp_path / "o")])
+    rc = cli.main([command, option, str(empty), "--out-dir", str(tmp_path / "o")])
     assert rc == 1
-    assert "no WAV files" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_malformed_wav_is_exit_one(tmp_path, capsys):
@@ -210,6 +215,34 @@ def test_non_boolean_config_value_for_a_flag_is_exit_one(tmp_path, capsys):
     assert "expected a boolean" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw, value", [("true", True), ("off", False)])
+def test_boolean_config_value_for_a_flag_sets_it(tmp_path, capsys, raw, value):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"teacher-forcing = {raw}\n")
+    argv = ["end-to-end", "--config", str(cfg), "--wav-dir", "x", "--work-dir", str(tmp_path / "w")]
+    assert cli.main([*argv, "--dry-run"]) == 0
+    assert f"[config] teacher_forcing={value}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "text, key, lines",
+    [
+        ("smooth-window = 3\nsmooth-window = 5\n", "smooth_window", (2, 1)),
+        ("noise-std = 0.02\n# the same option\nnoise_std = 0.5\n", "noise_std", (3, 1)),
+    ],
+    ids=["exact-repeat", "dash-and-underscore"],
+)
+def test_config_key_set_twice_is_exit_one(tmp_path, capsys, text, key, lines):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(text)
+    rc = cli.main(
+        ["simulate", "--config", str(cfg), "--features-dir", "x", "--out-dir", "y"]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{cfg}:{lines[0]}: repeats key '{key}' (first set on line {lines[1]})" in err
+
+
 def test_untypable_config_value_is_exit_one(tmp_path, capsys):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("smooth_window=abc\n")
@@ -332,11 +365,16 @@ def test_manifest_paths_resolve_from_the_manifest_directory(tmp_path, capsys, mo
     for side in ("natural", "synthetic"):
         Path(side).mkdir()
         for u in ("utt000", "utt001"):
-            write_features(make_features(u, 30), Path(side) / f"{u}.cvf")
+            # one synthetic rendering is a frame short, so train trims and reports it
+            n = 29 if (side, u) == ("synthetic", "utt001") else 30
+            write_features(make_features(u, n), Path(side) / f"{u}.cvf")
     argv = ["manifest", "--natural-dir", "natural", "--synthetic-dir", "synthetic"]
     assert cli.main([*argv, "--out", "run/pairs.tsv"]) == 0
     rc = cli.main(["train", "--manifest", "run/pairs.tsv", "--out-dir", "run", "--epochs", "1"])
-    assert rc == 0, capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert rc == 0, err
+    assert "[pairing] utt001: trimmed 1 frame(s) to align at 29 frames" in out
+    assert "[pairing] utt000" not in out
     assert Path("run/model.ckpt").is_file()
 
 

@@ -137,6 +137,13 @@ def test_worker_count_is_usable_cpus_capped_at_the_block_count(monkeypatch, corp
     assert seen == [1, 2, n_blocks, 1]
 
 
+@pytest.mark.parametrize("cpu_count, usable", [(3, 3), (None, 1)])
+def test_usable_cpus_is_the_cpu_count_where_affinity_is_unknown(monkeypatch, cpu_count, usable):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert acoustics._usable_cpus() == usable
+
+
 @pytest.fixture(scope="module")
 def default_model():
     norm = NormStats(mean=np.zeros(N_DIMS), std=np.ones(N_DIMS))

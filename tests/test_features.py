@@ -348,6 +348,14 @@ def test_empty_feature_set_is_rejected():
 
 
 @pytest.mark.parametrize("field", ["mean", "std"])
+def test_norm_vectors_of_the_wrong_width_are_rejected(field):
+    vectors = {"mean": np.zeros(50), "std": np.ones(50)}
+    vectors[field] = vectors[field][:49]
+    with pytest.raises(ShapeError, match=r"norm stats must be \(50,\) vectors"):
+        NormStats(**vectors)
+
+
+@pytest.mark.parametrize("field", ["mean", "std"])
 def test_non_finite_norm_vectors_are_rejected(field):
     vectors = {"mean": np.zeros(50), "std": np.ones(50)}
     vectors[field][7] = np.nan

@@ -88,6 +88,8 @@ def test_init_is_seeded_and_bounded():
     assert np.max(np.abs(a.params["f.gru.bW"])) <= 1.0 / np.sqrt(51)
     assert np.max(np.abs(a.params["f.gru.bU"])) <= 1.0 / np.sqrt(5)
     assert a.params["f.in0.W"].dtype == np.float32
+    # the model's dtype is its parameters'
+    assert a.dtype == np.float32 and make_model(seed=7, dtype=np.float64).dtype == np.float64
 
 
 # ----- forward semantics ----------------------------------------------------------

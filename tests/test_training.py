@@ -219,13 +219,21 @@ def test_empty_training_set_is_rejected():
         train([], _fast_config())
 
 
-def test_non_finite_loss_aborts_with_context(monkeypatch):
+@pytest.mark.parametrize(
+    "loss, grad, message",
+    [
+        (float("nan"), 0.0, "non-finite loss at epoch 1, utterance"),
+        (0.5, float("nan"), "non-finite values in parameter '.+' after epoch 1"),
+    ],
+    ids=["nan-loss", "nan-gradients"],
+)
+def test_non_finite_training_aborts_with_context(monkeypatch, loss, grad, message):
     def fake_loss_gradients(model, x, y, rho, teacher_forcing):
-        breakdown = LossBreakdown(stot_l1=float("nan"), cycle_l1=0.0, rho=rho)
-        return breakdown, {k: np.zeros_like(v) for k, v in model.params.items()}
+        breakdown = LossBreakdown(stot_l1=loss, cycle_l1=0.0, rho=rho)
+        return breakdown, {k: np.full_like(v, grad) for k, v in model.params.items()}
 
     monkeypatch.setattr("cyclevc.training.loss_gradients", fake_loss_gradients)
-    with pytest.raises(TrainingError, match="non-finite loss at epoch 1"):
+    with pytest.raises(TrainingError, match=message):
         train(_pairs(1), _fast_config())
 
 
